@@ -406,7 +406,7 @@ Result<Prediction> Engine::predict(const PredictQuery& query) noexcept {
       return s;
     }
     if (config_.query_hook) config_.query_hook();
-    return point->trace().predict(slots[0]->models);
+    return slots[0]->prediction(point->trace());
   } catch (const std::exception& e) {
     return internal_error("Engine::predict", e);
   }
@@ -440,7 +440,7 @@ Result<Ranking> Engine::rank(const RankQuery& query) noexcept {
     out.candidates = query.candidates;
     out.predictions.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-      out.predictions.push_back(points[i]->trace().predict(slots[i]->models));
+      out.predictions.push_back(slots[i]->prediction(points[i]->trace()));
     }
     out.order = rank_order(out.median_ticks());
     return out;
@@ -456,15 +456,27 @@ Result<TuneResult> Engine::tune(const TuneQuery& query) noexcept {
                            "tune: sweep must satisfy 1 <= lo <= hi, "
                            "step >= 1");
     }
+    // The bounds may come straight from a request body: count the points
+    // before tracing any, and step by index so no blocksize overflows.
+    const index_t count = (query.hi - query.lo) / query.step + 1;
+    if (count > TuneQuery::kMaxPoints) {
+      return Status::error(
+          StatusCode::InvalidQuery,
+          "tune: sweep lo=" + std::to_string(query.lo) +
+              ", hi=" + std::to_string(query.hi) +
+              ", step=" + std::to_string(query.step) + " has " +
+              std::to_string(count) + " points, more than the " +
+              std::to_string(TuneQuery::kMaxPoints) + " allowed");
+    }
     const SystemSpec system = effective_system(query.system);
     TuneResult out;
     std::vector<OperationSpec> specs;
     std::vector<std::shared_ptr<CompiledSweepPoint>> points;
-    for (index_t b = query.lo; b <= query.hi; b += query.step) {
+    for (index_t i = 0; i < count; ++i) {
       OperationSpec spec = query.spec;
-      spec.blocksize = b;
+      spec.blocksize = query.lo + i * query.step;
       if (Status s = spec.validate(); !s.ok()) return s;
-      out.values.push_back(b);
+      out.values.push_back(spec.blocksize);
       points.push_back(compile_spec(spec, system));
       specs.push_back(std::move(spec));
     }
@@ -480,7 +492,7 @@ Result<TuneResult> Engine::tune(const TuneQuery& query) noexcept {
 
     out.predictions.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
-      out.predictions.push_back(points[i]->trace().predict(slots[i]->models));
+      out.predictions.push_back(slots[i]->prediction(points[i]->trace()));
     }
     out.best_index = static_cast<index_t>(rank_order(out.median_ticks())[0]);
     return out;

@@ -23,8 +23,10 @@
 //     held in a versioned slot snapshot; compiled points are cached in a
 //     sharded LRU keyed by (family, variant, sizes, blocksize, system)
 //     (api/trace_cache.hpp), so a repeated or overlapping sweep skips
-//     trace generation, compilation, interning and model resolution, and
-//     prediction evaluates each model once per unique call.
+//     trace generation, compilation, interning and model resolution. A
+//     slot snapshot also keeps the prediction its models imply, computed
+//     on first read by evaluating each model once per unique call, so a
+//     repeated point evaluates no model at all.
 
 #include <atomic>
 #include <condition_variable>
@@ -67,7 +69,7 @@ struct EngineConfig {
   /// every spec query then recompiles its trace).
   index_t trace_cache_capacity = 4096;
   /// Test/bench hook: invoked once per predict-query evaluation, after
-  /// model resolution and before the accumulation loop. Lets throughput
+  /// model resolution and before the prediction is read. Lets throughput
   /// benches make queries latency-bound to measure dispatch overlap
   /// independently of the host's core count (the same trick
   /// ServiceConfig::measure_factory plays for generation). Production

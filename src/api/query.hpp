@@ -113,6 +113,11 @@ struct RankQuery {
 /// Sweep the operation's block size over {lo, lo+step, ...} <= hi and pick
 /// the predicted-fastest value (the spec's own blocksize is ignored).
 struct TuneQuery {
+  /// Most sweep points one query may ask for (the default trace-cache
+  /// capacity); a larger sweep is rejected as InvalidQuery before any
+  /// point is traced.
+  static constexpr index_t kMaxPoints = 4096;
+
   OperationSpec spec;
   index_t lo = 16;
   index_t hi = 160;

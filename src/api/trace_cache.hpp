@@ -15,9 +15,12 @@
 // CompiledSweepPoint captures 1+2 immutably and 3 as a versioned snapshot
 // (ResolvedSlots) stamped with the engine's model-cache version; when a
 // generation widens any model the version moves on and the snapshot is
-// rebuilt on next use (invalidation-on-regeneration). The points live in
-// a sharded LRU keyed by SweepPointKey, so a repeated or overlapping
-// sweep skips trace generation, compilation and interning entirely.
+// rebuilt on next use (invalidation-on-regeneration). A prediction is a
+// pure function of the compiled trace and the models, so the snapshot
+// also keeps the Prediction its models imply, computed on first read.
+// The points live in a sharded LRU keyed by SweepPointKey, so a repeated
+// or overlapping sweep skips trace generation, compilation, interning
+// and model evaluation entirely.
 
 #include <cstdint>
 #include <memory>
@@ -80,6 +83,23 @@ struct ResolvedSlots {
     models[k] = model.get();
     pins[k] = std::move(model);
   }
+
+  /// `trace.predict(models)`, where `trace` is the compiled trace of the
+  /// sweep point this snapshot belongs to. The first reader computes it;
+  /// every later reader, on any thread, gets the same stored value, so a
+  /// cached sweep point answers without evaluating a model. It lives and
+  /// dies with the snapshot: a regeneration or reload, which replaces
+  /// the snapshot, discards it too.
+  [[nodiscard]] const Prediction& prediction(
+      const CompiledTrace& trace) const {
+    std::call_once(predicted_,
+                   [&] { prediction_ = trace.predict(models); });
+    return prediction_;
+  }
+
+ private:
+  mutable std::once_flag predicted_;
+  mutable Prediction prediction_;
 };
 
 /// One cached sweep point: the compiled trace, its keys' interned ids

@@ -92,7 +92,10 @@ void TraceContext::sylv_unb(index_t m, index_t n, const double*, index_t ldl,
 }
 
 namespace {
-index_t ceil_div(index_t a, index_t b) { return b > 0 ? (a + b - 1) / b : 0; }
+// For a >= 0; never forms a + b, which overflows for huge block sizes.
+index_t ceil_div(index_t a, index_t b) {
+  return b > 0 ? a / b + (a % b != 0 ? 1 : 0) : 0;
+}
 }  // namespace
 
 index_t trace_trinv_calls(index_t n, index_t blocksize) {

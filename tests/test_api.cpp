@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <future>
+#include <limits>
 
 #include "algorithms/trinv.hpp"
 #include "api/engine.hpp"
@@ -352,6 +353,42 @@ TEST(Engine, TunePicksArgminOfSweep) {
   }
   EXPECT_EQ(tuned.best_value(),
             tuned.values[static_cast<std::size_t>(tuned.best_index)]);
+}
+
+TEST(Engine, TuneBoundsTheSweepBeforeTracingAnyPoint) {
+  TempEngine t("dlap_test_api_tune_bound");
+  TuneQuery q;
+  q.spec = OperationSpec::trinv(1, 64, 16);
+  q.lo = 1;
+  q.hi = 400000;
+  q.step = 1;
+  const auto huge = t.engine.tune(q);
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code, StatusCode::InvalidQuery);
+  EXPECT_NE(huge.status().message.find("lo=1, hi=400000, step=1"),
+            std::string::npos)
+      << huge.status().message;
+
+  // One point over the limit is refused; a sweep of exactly the limit
+  // passes the count and fails on its first point's own validation.
+  q.hi = TuneQuery::kMaxPoints + 1;
+  EXPECT_EQ(t.engine.tune(q).status().code, StatusCode::InvalidQuery);
+  q.spec = OperationSpec::of("nosuchop", 1, 0, 64, 16);
+  q.hi = TuneQuery::kMaxPoints;
+  EXPECT_EQ(t.engine.tune(q).status().code, StatusCode::ParseError);
+  EXPECT_EQ(t.engine.trace_cache_stats().misses, 0u);
+
+  // The last point is the largest index_t, where stepping the blocksize
+  // itself past it would overflow.
+  q.spec = OperationSpec::trinv(1, 64, 16);
+  q.lo = 64;
+  q.hi = std::numeric_limits<index_t>::max();
+  q.step = q.hi - q.lo;
+  const auto edge = t.engine.tune(q);
+  ASSERT_TRUE(edge.ok()) << edge.status().to_string();
+  EXPECT_EQ(edge->values, (std::vector<index_t>{64, q.hi}));
+  // Any blocksize >= n traces the same single-block calls.
+  expect_identical(edge->predictions[0], edge->predictions[1]);
 }
 
 TEST(Engine, PredictCallParsesAndPredictsText) {

@@ -8,8 +8,11 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <latch>
 #include <limits>
 #include <random>
+#include <thread>
+#include <vector>
 
 #include "algorithms/chol.hpp"
 #include "algorithms/trinv.hpp"
@@ -19,6 +22,8 @@
 #include "common/lru.hpp"
 #include "predict/compiled_trace.hpp"
 #include "predict/trace.hpp"
+#include "storage/container.hpp"
+#include "storage/pack.hpp"
 
 namespace dlap {
 namespace {
@@ -551,6 +556,110 @@ TEST(EngineCompiled, DegenerateOnlyKeyServedFromStoredModelWhenEvaluated) {
   const auto failed = miss.engine.predict(PredictQuery::of(degen));
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code, StatusCode::MissingModel);
+}
+
+void expect_identical(const Ranking& a, const Ranking& b) {
+  ASSERT_EQ(a.predictions.size(), b.predictions.size());
+  for (std::size_t i = 0; i < a.predictions.size(); ++i) {
+    expect_identical(a.predictions[i], b.predictions[i]);
+  }
+  EXPECT_EQ(a.order, b.order);
+}
+
+TEST(EngineCompiled, ConcurrentFirstRankMatchesSequentialEngine) {
+  // Put the models on disk first, so every engine below reads the same
+  // model bytes.
+  const RankQuery query = RankQuery::sylv_variants(96, 96, 32);
+  TempEngine gen("dlap_test_compiled_concurrent");
+  ASSERT_TRUE(gen.engine.prepare(query.candidates).ok());
+  EngineConfig cfg = test_config("dlap_test_compiled_concurrent");
+  cfg.generate_missing = false;
+
+  Engine sequential(cfg);
+  const auto reference = sequential.rank(query);
+  ASSERT_TRUE(reference.ok()) << reference.status().to_string();
+
+  // The rank is new to this engine: eight threads race through compile,
+  // resolve and the first read of every snapshot's stored prediction.
+  Engine shared(cfg);
+  constexpr int kThreads = 8;
+  std::vector<Result<Ranking>> answers(
+      kThreads, Status::error(StatusCode::InternalError, "not run"));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      answers[static_cast<std::size_t>(i)] = shared.rank(query);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const Result<Ranking>& answer : answers) {
+    ASSERT_TRUE(answer.ok()) << answer.status().to_string();
+    expect_identical(*answer, *reference);
+  }
+}
+
+/// Generates the models `specs` need into `dir` from measurements offset
+/// by `offset`, then compacts them into the directory's container, so
+/// the repository holds no text file that could shadow it.
+void write_container_repository(const fs::path& dir, double offset,
+                                const std::vector<OperationSpec>& specs) {
+  fs::remove_all(dir);
+  {
+    EngineConfig cfg = test_config(dir.filename().string());
+    cfg.service.measure_factory = [offset](const ModelJob&) {
+      return synthetic_measure(offset);
+    };
+    Engine engine(std::move(cfg));
+    ASSERT_TRUE(engine.prepare(specs).ok());
+  }
+  (void)storage::compact_repository(dir);
+}
+
+TEST(EngineCompiled, ReloadedContainerReplacesStoredPredictions) {
+  const RankQuery query = RankQuery::trinv_variants(160, 32);
+  const fs::path old_repo =
+      fs::temp_directory_path() / "dlap_test_compiled_swap_old";
+  const fs::path new_repo =
+      fs::temp_directory_path() / "dlap_test_compiled_swap_new";
+  const TempEngine::Cleanup old_cleanup{old_repo};
+  const TempEngine::Cleanup new_cleanup{new_repo};
+  ASSERT_NO_FATAL_FAILURE(
+      write_container_repository(old_repo, 0.0, query.candidates));
+  ASSERT_NO_FATAL_FAILURE(
+      write_container_repository(new_repo, 5000.0, query.candidates));
+
+  EngineConfig cfg = test_config("dlap_test_compiled_swap");
+  cfg.generate_missing = false;
+  TempEngine t("dlap_test_compiled_swap", cfg);
+  fs::create_directories(t.dir);
+  const fs::path live = t.dir / storage::kContainerFilename;
+  fs::copy_file(old_repo / storage::kContainerFilename, live);
+  ASSERT_TRUE(t.engine.reload().ok());
+  const auto before = t.engine.rank(query);
+  ASSERT_TRUE(before.ok()) << before.status().to_string();
+  const auto warm = t.engine.rank(query);  // stored predictions answer
+  ASSERT_TRUE(warm.ok());
+  expect_identical(*warm, *before);
+
+  // Replace the container the way compaction does (write beside, rename
+  // over) with one holding different models, and reload.
+  const fs::path next = t.dir / "next.dlapc";
+  fs::copy_file(new_repo / storage::kContainerFilename, next);
+  fs::rename(next, live);
+  ASSERT_TRUE(t.engine.reload().ok());
+  const auto after = t.engine.rank(query);
+  ASSERT_TRUE(after.ok()) << after.status().to_string();
+  // Only the first rank compiled: this one ran on warm sweep points.
+  EXPECT_EQ(t.engine.trace_cache_stats().misses, 4u);
+
+  Engine fresh(cfg);
+  const auto expected = fresh.rank(query);
+  ASSERT_TRUE(expected.ok()) << expected.status().to_string();
+  expect_identical(*after, *expected);
+  EXPECT_NE(after->predictions[0].ticks.median,
+            before->predictions[0].ticks.median);  // the models differ
 }
 
 TEST(EngineCompiled, SpecAndEquivalentRawTraceAgree) {

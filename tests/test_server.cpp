@@ -20,11 +20,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <latch>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -257,6 +262,39 @@ TEST(Json, NumbersRoundTripBitExactly) {
     EXPECT_EQ(back.dump(), once) << once;
     const double y = back.as_number();
     EXPECT_EQ(std::memcmp(&x, &y, sizeof x), 0) << once;
+  }
+
+  // The writer's text is pinned to printf("%.17g") byte for byte: the
+  // edges of its integer shortcut (-0.0, 2^53, the last double below
+  // 1e17, 1e17 itself), the extremes, and a seeded sweep of random bit
+  // patterns and of integers of every magnitude.
+  std::vector<double> values = {-0.0,
+                                0.0,
+                                9007199254740992.0,
+                                -9007199254740992.0,
+                                1e15,
+                                1e16,
+                                99999999999999984.0,
+                                1e17,
+                                -1e17,
+                                5e-324,
+                                std::numeric_limits<double>::max(),
+                                -std::numeric_limits<double>::max()};
+  std::mt19937_64 rng(20121110);
+  for (int i = 0; i < 20000; ++i) {
+    const std::uint64_t bits = rng();
+    double x = 0.0;
+    std::memcpy(&x, &bits, sizeof x);
+    values.push_back(x);
+    const std::uint64_t shift = rng() % 64;
+    const auto integer = static_cast<std::int64_t>(rng() >> shift);
+    values.push_back(static_cast<double>(integer));
+    values.push_back(-static_cast<double>(integer));
+  }
+  for (const double x : values) {
+    char expected[40];
+    std::snprintf(expected, sizeof expected, "%.17g", x);
+    ASSERT_EQ(Json::number(x).dump(), expected);
   }
 }
 
@@ -877,6 +915,26 @@ TEST(ServerLoopback, ErrorStatusesMapThroughTheTable) {
   server.stop();
 }
 
+TEST(ServerLoopback, OversizedTuneSweepIsRejectedBeforeTracing) {
+  TempEngine t("dlapd_test_tune_bound");
+  Server server(t.engine, ServerConfig{});
+  ASSERT_TRUE(server.start().ok());
+  HttpClient client("127.0.0.1", server.port());
+
+  // An 80-byte body asking for 400000 sweep points: refused with 422
+  // naming the bounds, before a single point is traced.
+  const auto response = client.request(
+      "POST", "/v1/tune",
+      "{\"op\":\"trinv\",\"n\":64,\"lo\":1,\"hi\":400000,\"step\":1}");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 422);
+  EXPECT_NE(response->body.find("INVALID_QUERY"), std::string::npos);
+  EXPECT_NE(response->body.find("lo=1, hi=400000, step=1"), std::string::npos)
+      << response->body;
+  EXPECT_EQ(t.engine.trace_cache_stats().misses, 0u);
+  server.stop();
+}
+
 TEST(ServerLoopback, MalformedWireRequestGetsTypedErrorAndClose) {
   TempEngine t("dlapd_test_wire");
   Server server(t.engine, ServerConfig{});
@@ -1156,11 +1214,15 @@ TEST(ServerLoopback, ConcurrentClientsDuringReloadSeeZeroTornReads) {
   std::atomic<int> mismatches{0};
   std::atomic<int> failures{0};
   std::atomic<int> completed{0};
+  // The clients start once the first reload is posted, so at least one
+  // reload overlaps their traffic however fast the queries are answered.
+  std::latch go(1);
   std::vector<std::thread> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       HttpClient client("127.0.0.1", server.port());
+      go.wait();
       for (int i = 0; i < kRequests; ++i) {
         const std::size_t q = static_cast<std::size_t>((c + i) % 3);
         const auto response =
@@ -1189,6 +1251,7 @@ TEST(ServerLoopback, ConcurrentClientsDuringReloadSeeZeroTornReads) {
       const std::uint64_t done =
           server.stats().reloads_completed + server.stats().reloads_failed;
       const auto response = admin.request("POST", "/v1/admin/reload", "{}");
+      if (reloads == 0) go.count_down();
       if (!response.has_value() || response->status != 202) {
         admin_ok = false;
         break;
