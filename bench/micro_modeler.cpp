@@ -9,7 +9,6 @@
 #include "modeler/fit.hpp"
 #include "modeler/repository.hpp"
 #include "modeler/strategies.hpp"
-#include "predict/predictor.hpp"
 #include "predict/trace.hpp"
 
 namespace {

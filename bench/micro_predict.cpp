@@ -1,23 +1,24 @@
-// micro_predict -- the compiled sweep path vs the string-keyed per-call
-// path, on the two sweep shapes the paper's Section IV services run:
+// micro_predict -- the compiled sweep path vs the reference per-call
+// loop, on the two sweep shapes the paper's Section IV services run:
 //
 //   - a 16-variant sylv ranking sweep (Fig IV.5): sylv traces carry
 //     O((m/b)*(n/b)) calls but only O(m/b + n/b) distinct argument
 //     shapes, so compiled prediction evaluates models per UNIQUE call;
 //   - a trinv blocksize tuning sweep (Fig IV.2).
 //
-// The baseline is the pre-compiled-path hot loop: regenerate the trace at
-// every sweep point and predict through the string-keyed ModelSet
-// resolver (map lookup per call, linear region scan, one polynomial at a
-// time). The compiled path is Engine::rank / Engine::tune, which compile
-// each sweep point once, cache it in the sharded trace LRU, and predict
-// over pre-resolved model slots.
+// The baseline is the reference per-call loop (reference::predict in
+// tests/support/reference_predict.hpp): regenerate the trace at every
+// sweep point, look each call's model up by (routine, flags) with
+// allocation-free string_view probes, and evaluate one call at a time.
+// The compiled path is Engine::rank / Engine::tune, which compile each
+// sweep point once, cache it in the sharded trace LRU, and predict over
+// pre-resolved model slots.
 //
 // Model generation uses a deterministic synthetic cost surface and runs
 // before the timed region (Engine::prepare). Three gates (acceptance
 // criteria of the compiled-prediction work):
-//   - sylv ranking:  compiled warm sweep >= 5x the string-keyed baseline,
-//   - trinv tuning:  compiled warm sweep >= 2x the string-keyed baseline,
+//   - sylv ranking:  compiled warm sweep >= 5x the reference baseline,
+//   - trinv tuning:  compiled warm sweep >= 2x the reference baseline,
 //   - trace cache:   second identical Engine sweep >= 10x the first
 //                    (cold, cache-cleared) one,
 // and every compiled prediction must be bit-identical to the baseline.
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "predict/compiled_trace.hpp"
+#include "reference_predict.hpp"
 #include "support/bench_util.hpp"
 
 namespace {
@@ -93,11 +95,11 @@ double median(std::vector<double> v) {
   return n % 2 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-/// The pre-compiled-path predictor: string-keyed ModelSet over the
-/// repository's models for every distinct (routine, flags) of `specs`.
-ModelSet baseline_models(Engine& engine,
-                         const std::vector<OperationSpec>& specs) {
-  ModelSet set;
+/// The reference loop's models: the repository's model for every
+/// distinct (routine, flags) of `specs`.
+reference::Models baseline_models(Engine& engine,
+                                  const std::vector<OperationSpec>& specs) {
+  reference::Models set;
   for (const OperationSpec& spec : specs) {
     for (const KernelCall& call : spec.trace()) {
       const std::string routine = routine_name(call.routine);
@@ -120,7 +122,7 @@ ModelSet baseline_models(Engine& engine,
 }
 
 struct SweepTimings {
-  double baseline_ms = 0.0;  ///< string-keyed per-call path, per sweep
+  double baseline_ms = 0.0;  ///< reference per-call loop, per sweep
   double cold_ms = 0.0;      ///< compiled path, trace cache cleared
   double warm_ms = 0.0;      ///< compiled path, trace cache hit
   bool identical = true;     ///< compiled == baseline, bit for bit
@@ -134,24 +136,23 @@ SweepTimings time_sweep(Engine& engine,
                         RunEngine&& run_engine, int reps, int warm_iters) {
   using namespace dlap::bench;
   SweepTimings out;
-  const ModelSet set = baseline_models(engine, specs);
-  const Predictor baseline(set);
+  const reference::Models set = baseline_models(engine, specs);
 
   // Bit-identity first (also warms everything once).
   const std::vector<Prediction> compiled = run_engine();
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const Prediction reference = baseline.predict(specs[i].trace());
-    out.identical = out.identical && identical(compiled[i], reference);
+    const Prediction expected = reference::predict(specs[i].trace(), set);
+    out.identical = out.identical && identical(compiled[i], expected);
   }
 
   std::vector<double> baseline_ms, cold_ms, warm_ms;
   for (int r = 0; r < reps; ++r) {
     baseline_ms.push_back(wall_ms(
         [&] {
-          // The old hot loop: regenerate the trace at every sweep point,
-          // resolve each call by string key, evaluate one call at a time.
+          // Regenerate the trace at every sweep point, look each call's
+          // model up by (routine, flags), evaluate one call at a time.
           for (const OperationSpec& spec : specs) {
-            (void)baseline.predict(spec.trace());
+            (void)reference::predict(spec.trace(), set);
           }
         },
         1));
@@ -252,7 +253,7 @@ int main() {
                     trinv_speedup >= 2.0 && cache_speedup >= 10.0;
   print_comment(identical_ok
                     ? "compiled predictions bit-identical to the "
-                      "string-keyed path"
+                      "reference per-call loop"
                     : "IDENTITY VIOLATION: compiled differs from baseline");
   print_comment("sylv ranking speedup:  " + std::to_string(sylv_speedup) +
                 " (need >= 5)");

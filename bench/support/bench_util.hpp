@@ -25,7 +25,7 @@
 #include "modeler/modeler.hpp"
 #include "modeler/repository.hpp"
 #include "modeler/strategies.hpp"
-#include "predict/predictor.hpp"
+#include "predict/compiled_trace.hpp"
 #include "predict/trace.hpp"
 #include "sampler/machine.hpp"
 #include "sampler/sampler.hpp"

@@ -24,14 +24,10 @@ struct PoolScope {
   ~PoolScope() { tls_on_engine_pool = prev; }
 };
 
-/// True when `model` exists and its domain covers `needed` (no constraint
-/// when the trace had no non-degenerate call for the key).
-bool covers_needed(const RoutineModel* model,
-                   const std::optional<Region>& needed) {
-  if (model == nullptr) return false;
-  if (!needed.has_value()) return true;
-  return model->model.domain().dims() == needed->dims() &&
-         model->model.domain().covers(*needed);
+/// True when `model` exists and its domain covers `needed`.
+bool covers_needed(const RoutineModel* model, const Region& needed) {
+  return model != nullptr && model->model.domain().dims() == needed.dims() &&
+         model->model.domain().covers(needed);
 }
 
 Status internal_error(const char* where, const std::exception& e) {
@@ -91,7 +87,7 @@ Engine::PlanFn Engine::spec_plan(std::vector<OperationSpec> specs,
 
 std::shared_ptr<CompiledSweepPoint> Engine::compile_trace(
     const CallTrace& trace, const SystemSpec& system) {
-  CompiledTrace compiled = CompiledTrace::compile(trace, config_.prediction);
+  CompiledTrace compiled = CompiledTrace::compile(trace);
   std::vector<int> ids;
   ids.reserve(compiled.keys().size());
   for (const CompiledKey& key : compiled.keys()) {
@@ -138,13 +134,11 @@ Status Engine::resolve(
 
     // --- Gather the per-key parameter ranges the stale points need, ----
     // one Need per interned id, bounding boxes over UNIQUE entries only.
+    // Compilation drops zero-size calls, so every key has an entry.
     struct Need {
       ModelKey key;
-      std::optional<Region> needed;  // box of non-degenerate unique calls
+      Region needed;  // bounding box of the key's unique calls
       std::vector<index_t> lo, hi;
-      bool evaluated_degenerate = false;  // degenerate entries that WILL
-                                          // be clamp-evaluated (only with
-                                          // skip_empty_calls off)
     };
     std::map<int, Need> needs;
     for (const std::size_t i : stale) {
@@ -159,10 +153,6 @@ Status Engine::resolve(
         }
         for (const std::uint32_t e : trace.entries_of(static_cast<int>(k))) {
           const CompiledCall& call = trace.entries()[e];
-          if (call.degenerate) {
-            need.evaluated_degenerate = true;  // clamp-evaluated if predicted
-            continue;
-          }
           if (need.lo.empty()) {
             need.lo = call.sizes;
             need.hi = call.sizes;
@@ -175,9 +165,7 @@ Status Engine::resolve(
         }
       }
     }
-    for (auto& [id, need] : needs) {
-      if (!need.lo.empty()) need.needed = Region(need.lo, need.hi);
-    }
+    for (auto& [id, need] : needs) need.needed = Region(need.lo, need.hi);
 
     // --- Phase A: satisfy from the engine cache, then the repository. ---
     std::map<int, std::shared_ptr<const RoutineModel>> resolved;
@@ -202,23 +190,7 @@ Status Engine::resolve(
       if (resolved.count(id) != 0) continue;
       std::shared_ptr<const RoutineModel> stored = service_.find(need.key);
       if (covers_needed(stored.get(), need.needed)) {
-        // With no needed region (degenerate-only key) any stored model
-        // covers: its clamp-evaluation answers the zero-size calls.
         resolved[id] = std::move(stored);
-        continue;
-      }
-      if (!need.needed.has_value()) {
-        // Only degenerate calls reference this key, so no domain can be
-        // planned for it. With skip_empty_calls such calls never compile
-        // into entries; without it the missing model must surface as a
-        // status, not a silent zero contribution.
-        if (need.evaluated_degenerate) {
-          return Status::error(
-              StatusCode::MissingModel,
-              "no model for " + need.key.to_string() +
-                  " and only zero-size calls reference it, so none can "
-                  "be planned (skip_empty_calls is off)");
-        }
         continue;
       }
       if (!config_.generate_missing) {
@@ -231,7 +203,7 @@ Status Engine::resolve(
             StatusCode::UncoveredDomain,
             "stored model " + need.key.to_string() + " covers " +
                 stored->model.domain().to_string() + " but the query needs " +
-                need.needed->to_string() +
+                need.needed.to_string() +
                 " and on-demand generation is disabled");
       }
       if (!planned_built) {
@@ -288,15 +260,16 @@ Status Engine::resolve(
     }
 
     // --- Phase C: verify coverage, warm the model cache, stamp slots. --
+    // Every needed key is resolved by now; a key Phases A/B left out is a
+    // broken invariant, which at() turns into an InternalError status.
     for (const auto& [id, need] : needs) {
-      const auto it = resolved.find(id);
-      if (it == resolved.end()) continue;  // degenerate-only key, no model
-      if (!covers_needed(it->second.get(), need.needed)) {
+      const RoutineModel* model = resolved.at(id).get();
+      if (!covers_needed(model, need.needed)) {
         return Status::error(
             StatusCode::UncoveredDomain,
             "model " + need.key.to_string() + " covers " +
-                it->second->model.domain().to_string() +
-                " but the query needs " + need.needed->to_string());
+                model->model.domain().to_string() +
+                " but the query needs " + need.needed.to_string());
       }
     }
     bool changed = false;
@@ -336,9 +309,7 @@ Status Engine::resolve(
       auto snap = std::make_shared<ResolvedSlots>();
       snap->assign(ids.size(), version);
       for (std::size_t k = 0; k < ids.size(); ++k) {
-        const auto it = resolved.find(ids[k]);
-        if (it == resolved.end()) continue;  // degenerate-only key
-        snap->set(k, it->second);
+        snap->set(k, resolved.at(ids[k]));
       }
       // With a moved version this snapshot is only the base for the
       // upgrade pass below, which builds (and stores) the final one.
@@ -366,7 +337,7 @@ Status Engine::resolve(
           const auto id = static_cast<std::size_t>(ids[k]);
           std::shared_ptr<const RoutineModel> use = base.pins[k];
           if (id < cache_.size() && cache_[id] != nullptr &&
-              use != nullptr && cache_[id] != use &&
+              cache_[id] != use &&
               cache_[id]->model.domain().dims() ==
                   use->model.domain().dims() &&
               cache_[id]->model.domain().covers(use->model.domain())) {

@@ -62,9 +62,6 @@ struct EngineConfig {
   /// covers too small a domain for). When false such queries fail with
   /// MissingModel / UncoveredDomain instead.
   bool generate_missing = true;
-  /// Prediction accumulation options. `strict` is ignored: the engine
-  /// reports missing models through Result statuses, never exceptions.
-  PredictionOptions prediction;
   /// Compiled sweep points kept in the trace cache (0 disables caching;
   /// every spec query then recompiles its trace).
   index_t trace_cache_capacity = 4096;

@@ -39,13 +39,30 @@ Status OperationSpec::validate() const {
                          to_string() + ": variant must be in [1, " +
                              std::to_string(family->variant_count) + "]");
   }
-  if (n < 1 || (family->size_axes >= 2 && m < 1)) {
+  const bool two_axes = family->size_axes >= 2;
+  if (n < 1 || (two_axes && m < 1)) {
     return Status::error(StatusCode::InvalidQuery,
                          to_string() + ": sizes must be >= 1");
+  }
+  if (n > kMaxSize || (two_axes && m > kMaxSize)) {
+    return Status::error(StatusCode::InvalidQuery,
+                         to_string() + ": " + (n > kMaxSize ? "n" : "m") +
+                             " must be <= " + std::to_string(kMaxSize));
   }
   if (blocksize < 1) {
     return Status::error(StatusCode::InvalidQuery,
                          to_string() + ": blocksize must be >= 1");
+  }
+  // Never forms size + blocksize: the blocksize may be any index_t.
+  const auto blocks_along = [this](index_t size) {
+    return size / blocksize + (size % blocksize != 0 ? 1 : 0);
+  };
+  const index_t blocks = blocks_along(n) * (two_axes ? blocks_along(m) : 1);
+  if (blocks > kMaxBlocks) {
+    return Status::error(StatusCode::InvalidQuery,
+                         to_string() + ": blocksize splits it into " +
+                             std::to_string(blocks) + " blocks, more than " +
+                             std::to_string(kMaxBlocks));
   }
   return {};
 }

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "api/result.hpp"
-#include "predict/predictor.hpp"
+#include "predict/compiled_trace.hpp"
 #include "predict/trace.hpp"
 #include "sampler/locality.hpp"
 
@@ -38,6 +38,16 @@ struct SystemSpec {
 /// 1-3); registered families extend this set without touching the api
 /// layer.
 struct OperationSpec {
+  /// Largest m or n a spec may name. A spec may come straight from a
+  /// request body and is traced before any model is resolved, so
+  /// validate() bounds the work of tracing it; 8x the paper's largest
+  /// problem size (1024).
+  static constexpr index_t kMaxSize = 8192;
+  /// Most blocks a spec's blocked algorithm may traverse: ceil(n/b), times
+  /// ceil(m/b) for two-axis families. The trace holds a few calls per
+  /// block, so validate() bounds this count too.
+  static constexpr index_t kMaxBlocks = 16384;
+
   /// Family name in the OperationRegistry. A default-constructed spec
   /// names no family and fails validate() with ParseError.
   std::string op;
@@ -62,8 +72,8 @@ struct OperationSpec {
                                           index_t blocksize);
 
   /// Ok when `op` names a registered family (ParseError otherwise) and
-  /// variant/sizes/blocksize form a traceable operation (InvalidQuery
-  /// otherwise).
+  /// variant/sizes/blocksize form a traceable operation within kMaxSize
+  /// and kMaxBlocks (InvalidQuery, naming the field, otherwise).
   [[nodiscard]] Status validate() const;
 
   /// The operation's exact invocation sequence (requires validate().ok();

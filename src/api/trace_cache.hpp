@@ -66,8 +66,8 @@ struct SweepPointKeyHash {
 
 /// Immutable snapshot of the models resolved for a compiled trace's keys,
 /// stamped with the engine model-cache version it was built against.
-/// `pins[k]` answers keys()[k] (null only for keys the prediction never
-/// consults) and keeps it alive for the snapshot's lifetime; `models` is
+/// `pins[k]` answers keys()[k] and keeps it alive for the snapshot's
+/// lifetime (an engine snapshot has a model for every key); `models` is
 /// the raw-pointer mirror the lock-free predict loop indexes.
 struct ResolvedSlots {
   std::uint64_t version = 0;

@@ -57,7 +57,7 @@ class ModelRepository {
   [[nodiscard]] RoutineModel load(const ModelKey& key) const;
 
   /// Loads a model through the cache; the returned pointer is shared with
-  /// the cache (and with every ModelSet viewing it), so repeated loads of
+  /// the cache (and with every caller holding it), so repeated loads of
   /// one key cost a map lookup, not a parse. Throws dlap::lookup_error if
   /// absent.
   [[nodiscard]] std::shared_ptr<const RoutineModel> load_shared(

@@ -4,12 +4,23 @@
 #include <map>
 #include <utility>
 
+#include "sampler/machine.hpp"
+
 namespace dlap {
 
-CompiledTrace CompiledTrace::compile(const CallTrace& trace,
-                                     const PredictionOptions& options) {
+double Prediction::efficiency_median(double total_flops) const {
+  // Defined everywhere: empty/all-skipped traces (median 0), zero-flop
+  // formulas and NaN inputs all yield 0 instead of propagating NaN or
+  // tripping efficiency()'s nonpositive-ticks requirement.
+  if (!(ticks.median > 0.0) || !(total_flops > 0.0) ||
+      !std::isfinite(total_flops)) {
+    return 0.0;
+  }
+  return efficiency(total_flops, ticks.median);
+}
+
+CompiledTrace CompiledTrace::compile(const CallTrace& trace) {
   CompiledTrace out;
-  out.skip_empty_ = options.skip_empty_calls;
   out.source_calls_ = static_cast<index_t>(trace.size());
   out.order_.reserve(trace.size());
 
@@ -20,7 +31,7 @@ CompiledTrace CompiledTrace::compile(const CallTrace& trace,
   std::map<std::pair<int, std::vector<index_t>>, std::int32_t> entry_ids;
 
   for (const KernelCall& call : trace) {
-    if (options.skip_empty_calls && call_is_degenerate(call)) {
+    if (call_is_degenerate(call)) {
       ++out.skipped_;
       out.order_.push_back(kSkippedCall);
       continue;
@@ -48,7 +59,6 @@ CompiledTrace CompiledTrace::compile(const CallTrace& trace,
       }
       entry.flops = call_flops(call);
       entry.multiplicity = 0;
-      entry.degenerate = call_is_degenerate(call);
       entry_it = entry_ids.emplace(
           entry_probe,
           static_cast<std::int32_t>(out.entries_.size())).first;
@@ -88,9 +98,8 @@ Prediction CompiledTrace::predict(
     }
   }
 
-  // Accumulate the cached estimates in source-call order: the exact loop
-  // of Predictor::predict, with the model evaluation replaced by an array
-  // read. This -- not multiplicity-scaled folding -- is what keeps the
+  // Accumulate the cached estimates in source-call order: the plain
+  // per-call loop, with the model evaluation replaced by an array read. This -- not multiplicity-scaled folding -- is what keeps the
   // result bit-identical for arbitrary model values.
   Prediction out;
   double var_sum = 0.0;

@@ -1,6 +1,8 @@
 #pragma once
-// CompiledTrace: the dedicated representation of a call trace for the
-// predict hot path.
+// CompiledTrace: the representation of a call trace that prediction runs
+// on (paper Section IV: "Each invocation corresponds to the evaluation of
+// the corresponding performance model; the results are then accumulated,
+// thus generating a performance prediction").
 //
 // A blocked algorithm's trace is highly redundant: sylv on an (m, n)
 // problem issues O((m/b)*(n/b)) calls but only O(m/b + n/b) distinct
@@ -19,19 +21,38 @@
 // Accumulating in source order -- rather than folding each entry's
 // contribution as multiplicity * estimate (and multiplicity-scaled
 // variance for the stddev) -- costs a few additions per call but keeps
-// the result BIT-identical to Predictor::predict for arbitrary model
-// values: floating-point addition is not associative, so any regrouping
-// would drift in the last ulps. The expensive work (resolver lookups,
-// region search, polynomial evaluation) is per unique entry either way.
+// the result BIT-identical to the plain per-call loop (evaluate each
+// call's model, add in trace order) for arbitrary model values:
+// floating-point addition is not associative, so any regrouping would
+// drift in the last ulps. The expensive work (model lookups, region
+// search, polynomial evaluation) is per unique entry either way.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "predict/predictor.hpp"
+#include "modeler/modeler.hpp"
 #include "predict/trace.hpp"
+#include "sampler/stats.hpp"
 
 namespace dlap {
+
+struct Prediction {
+  /// Accumulated tick statistics: sums of min/median/mean/max, stddev
+  /// combined as sqrt of summed variances (independence assumption).
+  SampleStats ticks;
+  double flops = 0.0;
+  index_t calls = 0;    ///< calls that contributed estimates
+  index_t skipped = 0;  ///< degenerate (zero-work) calls
+  index_t missing = 0;  ///< calls whose key had no model
+
+  /// Efficiency estimate for a given total flop count (callers often use
+  /// the operation's nominal flop formula rather than the trace sum).
+  /// Defined for every input: returns 0 when total_flops is nonpositive or
+  /// non-finite, and for empty or all-skipped traces (median 0) -- never
+  /// NaN.
+  [[nodiscard]] double efficiency_median(double total_flops) const;
+};
 
 /// One distinct (routine, flags) pair of a compiled trace: the unit of
 /// model resolution. Backend/locality are properties of the query, not
@@ -48,22 +69,16 @@ struct CompiledCall {
   std::vector<double> point;    ///< sizes as doubles (evaluation input)
   double flops = 0.0;           ///< flops of ONE occurrence
   index_t multiplicity = 0;     ///< occurrences in the source trace
-  bool degenerate = false;      ///< any zero size (present only when
-                                ///< compiled with skip_empty_calls off)
 };
 
 class CompiledTrace {
  public:
   CompiledTrace() = default;
 
-  /// Compiles `trace`. With options.skip_empty_calls (the default),
-  /// degenerate zero-size calls are counted and dropped -- they never
-  /// reach a model, exactly as in Predictor::predict. options.strict is
-  /// irrelevant here (predict() is table-driven and never throws on
-  /// missing models, like predict_with_table).
-  [[nodiscard]] static CompiledTrace compile(const CallTrace& trace,
-                                             const PredictionOptions& options =
-                                                 {});
+  /// Compiles `trace`. Degenerate zero-size calls (call_is_degenerate)
+  /// perform no flops: they are counted and dropped, so they never reach
+  /// a model, and every key has at least one non-degenerate entry.
+  [[nodiscard]] static CompiledTrace compile(const CallTrace& trace);
 
   [[nodiscard]] const std::vector<CompiledKey>& keys() const noexcept {
     return keys_;
@@ -86,17 +101,14 @@ class CompiledTrace {
   [[nodiscard]] index_t unique_calls() const noexcept {
     return static_cast<index_t>(entries_.size());
   }
-  /// Degenerate calls dropped at compile time (skip_empty_calls only).
+  /// Degenerate calls dropped at compile time.
   [[nodiscard]] index_t skipped() const noexcept { return skipped_; }
-  [[nodiscard]] bool skip_empty_calls() const noexcept {
-    return skip_empty_;
-  }
 
   /// Predicts against pre-resolved models: models_by_key[k] is the model
   /// for keys()[k] (nullptr = missing; such entries' occurrences count
   /// into Prediction::missing, never throw). The result is bit-identical
-  /// to Predictor::predict / predict_with_table over the source trace
-  /// with the same models and options.
+  /// to evaluating each source call's model and accumulating in trace
+  /// order.
   [[nodiscard]] Prediction predict(
       const std::vector<const RoutineModel*>& models_by_key) const;
 
@@ -109,7 +121,6 @@ class CompiledTrace {
   std::vector<std::int32_t> order_;
   index_t source_calls_ = 0;
   index_t skipped_ = 0;
-  bool skip_empty_ = true;
 
   static constexpr std::int32_t kSkippedCall = -1;
 };

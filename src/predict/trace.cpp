@@ -1,9 +1,11 @@
 #include "predict/trace.hpp"
 
+#include <limits>
+#include <memory>
+
 #include "algorithms/chol.hpp"
 #include "algorithms/sylv.hpp"
 #include "algorithms/trinv.hpp"
-#include "common/matrix.hpp"
 
 namespace dlap {
 
@@ -96,6 +98,18 @@ namespace {
 index_t ceil_div(index_t a, index_t b) {
   return b > 0 ? a / b + (a % b != 0 ? 1 : 0) : 0;
 }
+
+/// Storage for one operand of a traced run. The algorithms only form
+/// sub-block pointers into it and TraceContext never dereferences them,
+/// so it is left uninitialized: its pages are never touched.
+std::unique_ptr<double[]> untouched_operand(index_t rows, index_t cols) {
+  DLAP_REQUIRE(rows >= 0 && cols >= 0 &&
+                   (cols == 0 ||
+                    rows <= std::numeric_limits<index_t>::max() / cols),
+               "traced operand size out of range");
+  return std::make_unique_for_overwrite<double[]>(
+      static_cast<std::size_t>(rows * cols));
+}
 }  // namespace
 
 index_t trace_trinv_calls(index_t n, index_t blocksize) {
@@ -117,29 +131,29 @@ index_t trace_chol_calls(index_t n, index_t blocksize) {
 }
 
 CallTrace trace_trinv(int variant, index_t n, index_t blocksize) {
-  // The algorithm only forms sub-block pointers; an untouched buffer keeps
-  // that arithmetic valid without costing real memory pages.
-  Matrix dummy(n, n);
+  const auto l = untouched_operand(n, n);
   TraceContext ctx;
   ctx.reserve(trace_trinv_calls(n, blocksize));
-  trinv_blocked(ctx, variant, n, dummy.data(), n > 0 ? n : 1, blocksize);
+  trinv_blocked(ctx, variant, n, l.get(), n > 0 ? n : 1, blocksize);
   return ctx.take();
 }
 
 CallTrace trace_sylv(int variant, index_t m, index_t n, index_t blocksize) {
-  Matrix l(m, m), u(n, n), x(m, n);
+  const auto l = untouched_operand(m, m);
+  const auto u = untouched_operand(n, n);
+  const auto x = untouched_operand(m, n);
   TraceContext ctx;
   ctx.reserve(trace_sylv_calls(m, n, blocksize));
-  sylv_blocked(ctx, variant, m, n, l.data(), m > 0 ? m : 1, u.data(),
-               n > 0 ? n : 1, x.data(), m > 0 ? m : 1, blocksize);
+  sylv_blocked(ctx, variant, m, n, l.get(), m > 0 ? m : 1, u.get(),
+               n > 0 ? n : 1, x.get(), m > 0 ? m : 1, blocksize);
   return ctx.take();
 }
 
 CallTrace trace_chol(int variant, index_t n, index_t blocksize) {
-  Matrix dummy(n, n);
+  const auto a = untouched_operand(n, n);
   TraceContext ctx;
   ctx.reserve(trace_chol_calls(n, blocksize));
-  chol_blocked(ctx, variant, n, dummy.data(), n > 0 ? n : 1, blocksize);
+  chol_blocked(ctx, variant, n, a.get(), n > 0 ? n : 1, blocksize);
   return ctx.take();
 }
 

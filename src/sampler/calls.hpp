@@ -82,9 +82,8 @@ struct KernelCall {
 
 /// True when any size argument is zero: the call performs no flops (such
 /// calls appear naturally in traces, e.g. the first trinv iteration's
-/// dtrmm with n = 0). The planner, the engine's resolver and the
-/// predictor all use this one predicate to agree on which calls are
-/// degenerate.
+/// dtrmm with n = 0). The planner and the trace compiler both use this
+/// one predicate to agree on which calls are degenerate.
 [[nodiscard]] bool call_is_degenerate(const KernelCall& call);
 
 /// Throws dlap::invalid_argument_error unless the field counts match the

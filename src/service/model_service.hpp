@@ -1,8 +1,7 @@
 #pragma once
-// ModelService: the sampler -> modeler -> repository -> predictor pipeline
-// as one long-lived engine (the dissertation's view of the paper's
-// workflow: a model repository consulted as a service by many prediction
-// runs).
+// ModelService: the sampler -> modeler -> repository pipeline as one
+// long-lived engine (the dissertation's view of the paper's workflow: a
+// model repository consulted as a service by many prediction runs).
 //
 // The service owns
 //   - a thread-safe ModelRepository (on-disk text files + in-memory cache),
@@ -20,10 +19,10 @@
 //     key, each worker sampling on its OWN backend instance so
 //     measurements never interfere.
 //
-// Callers hand it ModelJobs and get repository-cached models back;
-// RepositoryBackedPredictor (service/repository_predictor.hpp) closes the
-// loop by resolving models lazily -- generating missing ones on demand --
-// during prediction.
+// Callers hand it ModelJobs and get repository-cached models back; the
+// Engine (api/engine.hpp) closes the loop by resolving the models a query
+// needs through it -- generating missing ones on demand -- before
+// prediction.
 
 #include <cstdint>
 #include <filesystem>

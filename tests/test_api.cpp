@@ -19,6 +19,7 @@
 #include "api/plan.hpp"
 #include "predict/ranking.hpp"
 #include "predict/trace.hpp"
+#include "reference_predict.hpp"
 
 namespace dlap {
 namespace {
@@ -243,17 +244,17 @@ TEST(Engine, InternedPathBitIdenticalToStringKeyedPath) {
   const auto via_engine = t.engine.predict(PredictQuery::of(spec));
   ASSERT_TRUE(via_engine.ok()) << via_engine.status().to_string();
 
-  // Reference path: assemble the ModelSet by hand from the repository and
-  // predict through the string-keyed resolver.
+  // Reference path: assemble the models by hand from the repository and
+  // predict through the string-keyed per-call loop.
   const CallTrace trace = spec.trace();
-  ModelSet set;
+  reference::Models set;
   for (const ModelJob& job :
        plan_jobs(trace, t.engine.config().system, t.engine.config().planning)) {
     auto model = t.engine.service().find(ModelService::key_for(job));
     ASSERT_NE(model, nullptr);
     set.add(model);
   }
-  const Prediction reference = Predictor(set).predict(trace);
+  const Prediction reference = reference::predict(trace, set);
   expect_identical(*via_engine, reference);
 }
 
@@ -467,21 +468,12 @@ TEST(Engine, InvalidSpecsReportInvalidQuery) {
   EXPECT_EQ(bad_tune.status().code, StatusCode::InvalidQuery);
 }
 
-TEST(Engine, DegenerateOnlyKeyReportsMissingWhenEmptyCallsAreEvaluated) {
-  EngineConfig cfg = test_config("dlap_test_api_degen");
-  cfg.prediction.skip_empty_calls = false;
-  TempEngine t("dlap_test_api_degen", std::move(cfg));
-  // The only call for this key is zero-size: no model can be planned, and
-  // with skip_empty_calls off the miss must surface as a status rather
-  // than a silent zero-time prediction.
+TEST(Engine, ZeroSizeOnlyTraceSkipsEveryCall) {
+  // The only call is zero-size: it performs no flops, so the query is a
+  // valid no-op that needs no model.
+  TempEngine t("dlap_test_api_degen_skip");
   const CallTrace trace{parse_call("dgemm(N,N,0,64,64,1,A,64,B,64,0,C,64)")};
-  const auto result = t.engine.predict(PredictQuery::of(trace));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code, StatusCode::MissingModel);
-
-  // With the default skip behavior the same query is a valid no-op.
-  TempEngine skip("dlap_test_api_degen_skip");
-  const auto skipped = skip.engine.predict(PredictQuery::of(trace));
+  const auto skipped = t.engine.predict(PredictQuery::of(trace));
   ASSERT_TRUE(skipped.ok()) << skipped.status().to_string();
   EXPECT_EQ(skipped->skipped, 1);
   EXPECT_EQ(skipped->calls, 0);
@@ -490,11 +482,63 @@ TEST(Engine, DegenerateOnlyKeyReportsMissingWhenEmptyCallsAreEvaluated) {
 TEST(Engine, MissingModelWhenGenerationDisabled) {
   EngineConfig cfg = test_config("dlap_test_api_missing");
   cfg.generate_missing = false;
+  const SystemSpec system = cfg.system;
   TempEngine t("dlap_test_api_missing", std::move(cfg));
-  const auto result =
-      t.engine.predict(PredictQuery::of(OperationSpec::trinv(1, 128, 32)));
+  const OperationSpec spec = OperationSpec::trinv(1, 128, 32);
+  const auto result = t.engine.predict(PredictQuery::of(spec));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code, StatusCode::MissingModel);
+  // The status names the missing key.
+  const CompiledTrace compiled = CompiledTrace::compile(spec.trace());
+  bool names_a_key = false;
+  for (const CompiledKey& key : compiled.keys()) {
+    const ModelKey missing{routine_name(key.routine), system.backend,
+                           system.locality, key.flags};
+    names_a_key = names_a_key || result.status().message.find(
+                                     missing.to_string()) != std::string::npos;
+  }
+  EXPECT_TRUE(names_a_key) << result.status().message;
+}
+
+TEST(Engine, OverBoundSpecsAreRejectedBeforeTracing) {
+  EngineConfig cfg = test_config("dlap_test_api_spec_bound");
+  cfg.generate_missing = false;
+  TempEngine t("dlap_test_api_spec_bound", std::move(cfg));
+  constexpr index_t kMax = OperationSpec::kMaxSize;
+  // Two-axis families reach the block bound first: 128 * 128 blocks.
+  static_assert(128 * 128 == OperationSpec::kMaxBlocks);
+
+  // Each over-bound spec is refused, naming its field, before a trace.
+  const std::pair<OperationSpec, std::string> over[] = {
+      {OperationSpec::trinv(1, kMax + 1, kMax + 1), ": n must be <= 8192"},
+      {OperationSpec::chol(1, kMax + 1, 64), ": n must be <= 8192"},
+      {OperationSpec::sylv(1, kMax + 1, 64, 64), ": m must be <= 8192"},
+      {OperationSpec::sylv(1, 129, 128, 1), "into 16512 blocks"},
+  };
+  for (const auto& [spec, names] : over) {
+    const auto result = t.engine.predict(PredictQuery::of(spec));
+    ASSERT_FALSE(result.ok()) << spec.to_string();
+    EXPECT_EQ(result.status().code, StatusCode::InvalidQuery);
+    EXPECT_NE(result.status().message.find(names), std::string::npos)
+        << result.status().message;
+  }
+  EXPECT_EQ(t.engine.trace_cache_stats().misses, 0u);
+
+  // Specs exactly at a bound pass validation and are traced; with
+  // generation disabled they then fail on their missing models.
+  const OperationSpec at_bound[] = {
+      OperationSpec::trinv(1, kMax, kMax),
+      OperationSpec::sylv(1, kMax, kMax, kMax / 128),
+      OperationSpec::sylv(1, 128, 128, 1),
+  };
+  for (const OperationSpec& spec : at_bound) {
+    EXPECT_TRUE(spec.validate().ok()) << spec.validate().to_string();
+    const auto result = t.engine.predict(PredictQuery::of(spec));
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code, StatusCode::MissingModel)
+        << result.status().to_string();
+  }
+  EXPECT_EQ(t.engine.trace_cache_stats().misses, 3u);
 }
 
 TEST(Engine, UncoveredDomainWhenGenerationDisabled) {

@@ -1,7 +1,7 @@
 // Tests for the compiled-prediction subsystem: CompiledTrace dedupe +
-// bit-identity with Predictor::predict, the PiecewiseModel region index
-// vs the reference linear scan, the sharded trace LRU, and the engine's
-// snapshot invalidation-on-regeneration semantics.
+// bit-identity with the reference per-call loop, the PiecewiseModel region
+// index vs the reference linear scan, the sharded trace LRU, and the
+// engine's snapshot invalidation-on-regeneration semantics.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,7 @@
 #include "common/lru.hpp"
 #include "predict/compiled_trace.hpp"
 #include "predict/trace.hpp"
+#include "reference_predict.hpp"
 #include "storage/container.hpp"
 #include "storage/pack.hpp"
 
@@ -97,10 +98,9 @@ RoutineModel fitted_model(const std::string& routine,
   return m;
 }
 
-/// One model per distinct (routine, flags) of the trace, and the aligned
-/// models-by-key table for the compiled form.
-ModelSet models_for(const CallTrace& trace) {
-  ModelSet set;
+/// One model per distinct (routine, flags) of the trace.
+reference::Models models_for(const CallTrace& trace) {
+  reference::Models set;
   for (const KernelCall& call : trace) {
     const std::string routine = routine_name(call.routine);
     if (set.find(routine, call.flag_key()) == nullptr) {
@@ -109,15 +109,6 @@ ModelSet models_for(const CallTrace& trace) {
     }
   }
   return set;
-}
-
-std::vector<const RoutineModel*> table_for(const CompiledTrace& compiled,
-                                           const ModelSet& set) {
-  std::vector<const RoutineModel*> table;
-  for (const CompiledKey& key : compiled.keys()) {
-    table.push_back(set.find(routine_name(key.routine), key.flags));
-  }
-  return table;
 }
 
 // ----------------------------------------------------------- CompiledTrace
@@ -131,7 +122,7 @@ TEST(CompiledTrace, DedupesSylvTraceToUniqueShapes) {
   index_t occurrences = 0;
   for (const CompiledCall& entry : compiled.entries()) {
     EXPECT_GT(entry.multiplicity, 0);
-    EXPECT_FALSE(entry.degenerate);  // dropped under skip_empty_calls
+    for (index_t size : entry.sizes) EXPECT_GT(size, 0);  // zero-size dropped
     occurrences += entry.multiplicity;
   }
   EXPECT_EQ(occurrences + compiled.skipped(), compiled.source_calls());
@@ -146,7 +137,7 @@ TEST(CompiledTrace, DedupesSylvTraceToUniqueShapes) {
   EXPECT_EQ(via_keys, compiled.unique_calls());
 }
 
-TEST(CompiledTrace, BitIdenticalToPredictorAcrossFamilies) {
+TEST(CompiledTrace, BitIdenticalToReferenceAcrossFamilies) {
   std::vector<CallTrace> traces;
   for (int v = 1; v <= kTrinvVariantCount; ++v) {
     traces.push_back(trace_trinv(v, 250, 100));
@@ -158,45 +149,33 @@ TEST(CompiledTrace, BitIdenticalToPredictorAcrossFamilies) {
     traces.push_back(trace_chol(v, 224, 64));
   }
   for (const CallTrace& trace : traces) {
-    const ModelSet set = models_for(trace);
-    const Prediction reference = Predictor(set).predict(trace);
+    const reference::Models set = models_for(trace);
+    const Prediction reference = reference::predict(trace, set);
     const CompiledTrace compiled = CompiledTrace::compile(trace);
-    const Prediction via_compiled = compiled.predict(table_for(compiled, set));
+    const Prediction via_compiled = compiled.predict(set.by_key(compiled));
     expect_identical(via_compiled, reference);
   }
 }
 
 TEST(CompiledTrace, BitIdenticalWithMissingModels) {
   const CallTrace trace = trace_trinv(1, 250, 100);
-  ModelSet set;  // dtrmm present, dtrsm and trinv1_unb missing
-  set.add(fitted_model("dtrmm", "RLNN", 2));
-  PredictionOptions lax;
-  lax.strict = false;
-  const Prediction reference = Predictor(set, lax).predict(trace);
-  const CompiledTrace compiled = CompiledTrace::compile(trace, lax);
-  const Prediction via_compiled = compiled.predict(table_for(compiled, set));
+  reference::Models partial;  // dtrmm present, dtrsm and trinv1_unb missing
+  partial.add(fitted_model("dtrmm", "RLNN", 2));
+  const CompiledTrace compiled = CompiledTrace::compile(trace);
+  const Prediction via_compiled = compiled.predict(partial.by_key(compiled));
   EXPECT_GT(via_compiled.missing, 0);
-  expect_identical(via_compiled, reference);
-}
+  expect_identical(via_compiled, reference::predict(trace, partial));
 
-TEST(CompiledTrace, BitIdenticalWhenDegenerateCallsAreEvaluated) {
-  // skip_empty_calls off: the zero-size first-iteration calls become
-  // clamp-evaluated entries instead of being dropped.
-  PredictionOptions opts;
-  opts.skip_empty_calls = false;
-  const CallTrace trace = trace_trinv(1, 250, 100);
-  const ModelSet set = models_for(trace);
-  const Prediction reference = Predictor(set, opts).predict(trace);
-  const CompiledTrace compiled = CompiledTrace::compile(trace, opts);
-  EXPECT_EQ(compiled.skipped(), 0);
-  bool saw_degenerate = false;
-  for (const CompiledCall& e : compiled.entries()) {
-    saw_degenerate = saw_degenerate || e.degenerate;
-  }
-  EXPECT_TRUE(saw_degenerate);
-  const Prediction via_compiled = compiled.predict(table_for(compiled, set));
-  EXPECT_EQ(via_compiled.skipped, 0);
-  expect_identical(via_compiled, reference);
+  // No models at all: nothing contributes, and every call that is not
+  // zero-size counts as missing.
+  const reference::Models none;
+  const Prediction empty = compiled.predict(none.by_key(compiled));
+  EXPECT_EQ(empty.calls, 0);
+  EXPECT_EQ(empty.missing,
+            static_cast<index_t>(std::count_if(
+                trace.begin(), trace.end(),
+                [](const KernelCall& c) { return !call_is_degenerate(c); })));
+  expect_identical(empty, reference::predict(trace, none));
 }
 
 TEST(CompiledTrace, DegenerateOnlyTraceSkipsEverything) {
@@ -207,7 +186,7 @@ TEST(CompiledTrace, DegenerateOnlyTraceSkipsEverything) {
   const Prediction p = compiled.predict({});
   EXPECT_EQ(p.skipped, 1);
   EXPECT_EQ(p.calls, 0);
-  expect_identical(p, Predictor(ModelSet{}).predict(trace));
+  expect_identical(p, reference::predict(trace, {}));
 }
 
 TEST(CompiledTrace, PredictRequiresOneSlotPerKey) {
@@ -366,15 +345,6 @@ TEST(Intern, HeterogeneousRefLookupMatchesKeyLookup) {
   EXPECT_NE(interner.intern(other), id);
 }
 
-TEST(ModelSet, FindAcceptsStringViews) {
-  ModelSet set;
-  set.add(fitted_model("dtrsm", "LLNN", 2));
-  const std::string_view routine = "dtrsm";
-  const std::string_view flags = "LLNN";
-  EXPECT_NE(set.find(routine, flags), nullptr);
-  EXPECT_EQ(set.find(routine, std::string_view("RLNN")), nullptr);
-}
-
 // ------------------------------------------------------------ TraceContext
 
 TEST(TraceContext, TakeLeavesCleanReusableState) {
@@ -451,11 +421,11 @@ struct TempEngine {
   Engine engine;
 };
 
-/// The string-keyed reference prediction over the engine's CURRENT
+/// The reference per-call prediction over the engine's CURRENT
 /// repository models (what an uncached engine would answer).
 Prediction repository_reference(Engine& engine, const OperationSpec& spec) {
   const CallTrace trace = spec.trace();
-  ModelSet set;
+  reference::Models set;
   for (const KernelCall& call : trace) {
     const std::string routine = routine_name(call.routine);
     if (set.find(routine, call.flag_key()) != nullptr) continue;
@@ -464,9 +434,7 @@ Prediction repository_reference(Engine& engine, const OperationSpec& spec) {
                  engine.config().system.locality, call.flag_key()});
     if (model != nullptr) set.add(std::move(model));
   }
-  PredictionOptions lax;
-  lax.strict = false;
-  return Predictor(set, lax).predict(trace);
+  return reference::predict(trace, set);
 }
 
 TEST(EngineCompiled, RepeatedSweepHitsTraceCache) {
@@ -527,35 +495,6 @@ TEST(EngineCompiled, CachedSweepInvalidatedOnModelRegeneration) {
   const auto after = t.engine.predict(PredictQuery::of(small));
   ASSERT_TRUE(after.ok());
   expect_identical(*after, repository_reference(t.engine, small));
-}
-
-TEST(EngineCompiled, DegenerateOnlyKeyServedFromStoredModelWhenEvaluated) {
-  // skip_empty_calls off + a key referenced ONLY by zero-size calls: no
-  // domain can be planned, but a model already in the repository answers
-  // via clamp-evaluation -- the repository must be consulted before the
-  // MissingModel error.
-  EngineConfig cfg = test_config("dlap_test_compiled_degenstore");
-  cfg.prediction.skip_empty_calls = false;
-  TempEngine t("dlap_test_compiled_degenstore", std::move(cfg));
-  // Seed the repository with a dgemm/NN model via a non-degenerate trace.
-  const CallTrace full{parse_call("dgemm(N,N,64,64,64,1,A,64,B,64,0,C,64)")};
-  ASSERT_TRUE(t.engine.predict(PredictQuery::of(full)).ok());
-  // The degenerate-only query must now resolve from the stored model.
-  const CallTrace degen{
-      parse_call("dgemm(N,N,0,64,64,1,A,64,B,64,0,C,64)")};
-  const auto result = t.engine.predict(PredictQuery::of(degen));
-  ASSERT_TRUE(result.ok()) << result.status().to_string();
-  EXPECT_EQ(result->skipped, 0);
-  EXPECT_EQ(result->calls, 1);  // clamp-evaluated, not skipped or missing
-  EXPECT_EQ(result->missing, 0);
-
-  // Without a stored model the miss still surfaces as a status.
-  EngineConfig cfg2 = test_config("dlap_test_compiled_degenmiss");
-  cfg2.prediction.skip_empty_calls = false;
-  TempEngine miss("dlap_test_compiled_degenmiss", std::move(cfg2));
-  const auto failed = miss.engine.predict(PredictQuery::of(degen));
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.status().code, StatusCode::MissingModel);
 }
 
 void expect_identical(const Ranking& a, const Ranking& b) {

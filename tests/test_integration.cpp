@@ -3,8 +3,8 @@
 // 1. A deterministic "virtual machine": per-routine analytic cost
 //    functions play the role of the hardware. Models are generated from
 //    them through the real Modeler strategies, predictions run through the
-//    real Predictor, and the resulting variant ranking must equal the
-//    ranking computed by summing the same cost function over the traces
+//    real CompiledTrace path, and the resulting variant ranking must equal
+//    the ranking computed by summing the same cost function over the traces
 //    (ground truth). This exercises the entire pipeline end to end with
 //    zero measurement noise.
 // 2. A real-measurement smoke test: tiny models are generated from actual
@@ -30,9 +30,10 @@
 #include "sampler/ticks.hpp"
 #include "modeler/repository.hpp"
 #include "modeler/strategies.hpp"
-#include "predict/predictor.hpp"
+#include "predict/compiled_trace.hpp"
 #include "predict/ranking.hpp"
 #include "predict/trace.hpp"
+#include "reference_predict.hpp"
 
 namespace dlap {
 namespace {
@@ -127,11 +128,11 @@ RoutineModel vm_model(const ModelingRequest& req) {
   return m;
 }
 
-ModelSet vm_trinv_models(index_t hi) {
+reference::Models vm_trinv_models(index_t hi) {
   const Region d1({8}, {hi});
   const Region d2({8, 8}, {hi, hi});
   const Region d3({8, 8, 8}, {hi, hi, hi});
-  ModelSet set;
+  reference::Models set;
   set.add(vm_model(request_for(RoutineId::Trmm, {'R', 'L', 'N', 'N'}, d2)));
   set.add(vm_model(request_for(RoutineId::Trsm, {'L', 'L', 'N', 'N'}, d2)));
   set.add(vm_model(request_for(RoutineId::Trsm, {'R', 'L', 'N', 'N'}, d2)));
@@ -146,13 +147,12 @@ ModelSet vm_trinv_models(index_t hi) {
 TEST(IntegrationVM, TrinvRankingRecoveredExactly) {
   const index_t n = 480;
   const index_t b = 96;
-  const ModelSet models = vm_trinv_models(512);
-  const Predictor pred(models);
+  const reference::Models set = vm_trinv_models(512);
 
   std::vector<double> predicted, truth;
   for (int v = 1; v <= 4; ++v) {
     const CallTrace t = trace_trinv(v, n, b);
-    predicted.push_back(pred.predict(t).ticks.median);
+    predicted.push_back(reference::compiled_predict(t, set).ticks.median);
     truth.push_back(vm_trace_cost(t));
   }
   // The pipeline must (a) predict each variant's cost within a few
@@ -165,8 +165,7 @@ TEST(IntegrationVM, TrinvRankingRecoveredExactly) {
 }
 
 TEST(IntegrationVM, TrinvBlocksizeOptimumRecovered) {
-  const ModelSet models = vm_trinv_models(512);
-  const Predictor pred(models);
+  const reference::Models set = vm_trinv_models(512);
   // Sweep block sizes for variant 3 at n = 384; predicted optimum must
   // match the ground-truth optimum.
   std::vector<double> predicted, truth;
@@ -174,7 +173,7 @@ TEST(IntegrationVM, TrinvBlocksizeOptimumRecovered) {
   for (index_t b = 16; b <= 192; b += 16) {
     const CallTrace t = trace_trinv(3, 384, b);
     bsizes.push_back(b);
-    predicted.push_back(pred.predict(t).ticks.median);
+    predicted.push_back(reference::compiled_predict(t, set).ticks.median);
     truth.push_back(vm_trace_cost(t));
   }
   const auto popt = rank_order(predicted)[0];
@@ -184,17 +183,16 @@ TEST(IntegrationVM, TrinvBlocksizeOptimumRecovered) {
 
 TEST(IntegrationVM, SylvGroupsSeparatedAndTopVariantsRanked) {
   // Models for gemm and the unblocked Sylvester solve.
-  ModelSet set;
+  reference::Models set;
   set.add(vm_model(request_for(RoutineId::Gemm, {'N', 'N'},
                                Region({8, 8, 8}, {512, 512, 512}))));
   set.add(vm_model(
       request_for(RoutineId::SylvUnb, {}, Region({8, 8}, {256, 256}))));
-  const Predictor pred(set);
 
   std::vector<double> predicted, truth;
   for (int v = 1; v <= kSylvVariantCount; ++v) {
     const CallTrace t = trace_sylv(v, 384, 384, 96);
-    predicted.push_back(pred.predict(t).ticks.median);
+    predicted.push_back(reference::compiled_predict(t, set).ticks.median);
     truth.push_back(vm_trace_cost(t));
   }
   // On the virtual machine the pull/pull schedules (k-rich gemms) are the
@@ -231,19 +229,18 @@ TEST(IntegrationVM, CholRankingRecoveredExactly) {
   const Region d1({8}, {512});
   const Region d2({8, 8}, {512, 512});
   const Region d3({8, 8, 8}, {512, 512, 512});
-  ModelSet set;
+  reference::Models set;
   set.add(vm_model(request_for(RoutineId::Trsm, {'R', 'L', 'T', 'N'}, d2)));
   set.add(vm_model(request_for(RoutineId::Syrk, {'L', 'N'}, d2)));
   set.add(vm_model(request_for(RoutineId::Gemm, {'N', 'T'}, d3)));
   set.add(vm_model(request_for(RoutineId::Chol1Unb, {}, d1)));
   set.add(vm_model(request_for(RoutineId::Chol2Unb, {}, d1)));
   set.add(vm_model(request_for(RoutineId::Chol3Unb, {}, d1)));
-  const Predictor pred(set);
 
   std::vector<double> predicted, truth;
   for (int v = 1; v <= kCholVariantCount; ++v) {
     const CallTrace t = trace_chol(v, n, b);
-    predicted.push_back(pred.predict(t).ticks.median);
+    predicted.push_back(reference::compiled_predict(t, set).ticks.median);
     truth.push_back(vm_trace_cost(t));
   }
   for (int v = 0; v < kCholVariantCount; ++v) {

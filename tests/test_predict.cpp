@@ -10,9 +10,10 @@
 
 #include "algorithms/sylv.hpp"
 #include "algorithms/trinv.hpp"
-#include "predict/predictor.hpp"
+#include "predict/compiled_trace.hpp"
 #include "predict/ranking.hpp"
 #include "predict/trace.hpp"
+#include "reference_predict.hpp"
 
 namespace dlap {
 namespace {
@@ -132,7 +133,7 @@ TEST(Trace, RecordsLeadingDimensionsVerbatim) {
   EXPECT_DOUBLE_EQ(c.scalars[0], 1.5);
 }
 
-// -------------------------------------------------------------- predictor
+// ------------------------------------------------------------- prediction
 
 // Constant-valued model: every statistic == value over [lo, hi]^dims.
 RoutineModel constant_model(const std::string& routine,
@@ -156,21 +157,21 @@ RoutineModel constant_model(const std::string& routine,
   return m;
 }
 
-ModelSet trinv_v1_models(double trmm_cost, double trsm_cost,
-                         double unb_cost) {
-  ModelSet set;
+reference::Models trinv_v1_models(double trmm_cost, double trsm_cost,
+                                  double unb_cost) {
+  reference::Models set;
   set.add(constant_model("dtrmm", "RLNN", 2, trmm_cost));
   set.add(constant_model("dtrsm", "LLNN", 2, trsm_cost));
   set.add(constant_model("trinv1_unb", "", 1, unb_cost));
   return set;
 }
 
-TEST(Predictor, AccumulatesConstantModelsOverTrace) {
-  const ModelSet set = trinv_v1_models(10.0, 20.0, 5.0);
-  const Predictor pred(set);
+TEST(Prediction, AccumulatesConstantModelsOverTrace) {
+  const reference::Models set = trinv_v1_models(10.0, 20.0, 5.0);
   // n=250, b=100: 3 iterations. First iteration's trmm/trsm have n=0 and
   // are skipped; remaining: 2 trmm + 2 trsm + 3 unblocked.
-  const Prediction p = pred.predict(trace_trinv(1, 250, 100));
+  const Prediction p =
+      reference::compiled_predict(trace_trinv(1, 250, 100), set);
   EXPECT_EQ(p.skipped, 2);
   EXPECT_EQ(p.calls, 7);
   EXPECT_DOUBLE_EQ(p.ticks.median, 2 * 10.0 + 2 * 20.0 + 3 * 5.0);
@@ -178,8 +179,8 @@ TEST(Predictor, AccumulatesConstantModelsOverTrace) {
   EXPECT_GT(p.flops, 0.0);
 }
 
-TEST(Predictor, StddevCombinesAsRootSumOfSquares) {
-  ModelSet set;
+TEST(Prediction, StddevCombinesAsRootSumOfSquares) {
+  reference::Models set;
   RoutineModel m = constant_model("trinv1_unb", "", 1, 10.0);
   // Rebuild with stddev = 3.
   {
@@ -195,107 +196,13 @@ TEST(Predictor, StddevCombinesAsRootSumOfSquares) {
   set.add(m);
   set.add(constant_model("dtrmm", "RLNN", 2, 0.0));
   set.add(constant_model("dtrsm", "LLNN", 2, 0.0));
-  const Predictor pred(set);
   // 4 unblocked calls: stddev = sqrt(4 * 9) = 6... plus trmm/trsm zeros.
-  const Prediction p = pred.predict(trace_trinv(1, 256, 64));
+  const Prediction p =
+      reference::compiled_predict(trace_trinv(1, 256, 64), set);
   EXPECT_NEAR(p.ticks.stddev, std::sqrt(4 * 9.0), 1e-9);
 }
 
-TEST(Predictor, StrictModeThrowsOnMissingModel) {
-  ModelSet set;  // empty
-  const Predictor strict(set);
-  EXPECT_THROW(strict.predict(trace_trinv(1, 128, 64)), lookup_error);
-
-  PredictionOptions opts;
-  opts.strict = false;
-  const Predictor lax(set, opts);
-  const Prediction p = lax.predict(trace_trinv(1, 128, 64));
-  EXPECT_GT(p.missing, 0);
-  EXPECT_EQ(p.calls, 0);
-}
-
-TEST(Predictor, SkipEmptyCallsOptional) {
-  const ModelSet set = trinv_v1_models(10.0, 20.0, 5.0);
-  PredictionOptions opts;
-  opts.skip_empty_calls = false;
-  const Predictor pred(set, opts);
-  // Degenerate calls now get evaluated via domain clamping.
-  const Prediction p = pred.predict(trace_trinv(1, 250, 100));
-  EXPECT_EQ(p.skipped, 0);
-  EXPECT_EQ(p.calls, 9);
-}
-
-TEST(Predictor, PredictCallEvaluatesSingleModel) {
-  const ModelSet set = trinv_v1_models(10.0, 20.0, 5.0);
-  const Predictor pred(set);
-  const SampleStats s = pred.predict_call(parse_call("trinv1_unb(64,A,64)"));
-  EXPECT_DOUBLE_EQ(s.median, 5.0);
-  EXPECT_THROW(pred.predict_call(parse_call("trinv2_unb(64,A,64)")),
-               lookup_error);
-}
-
-TEST(Predictor, PredictReportNamesMissingKeysWithoutThrowing) {
-  ModelSet set;
-  set.add(constant_model("dtrmm", "RLNN", 2, 10.0));  // trsm/unb missing
-  const Predictor pred(set);  // strict by default; report must not throw
-  const PredictReport report = pred.predict_report(trace_trinv(1, 250, 100));
-  EXPECT_FALSE(report.complete());
-  // Two distinct keys miss (dtrsm LLNN, trinv1_unb), several calls each.
-  ASSERT_EQ(report.missing_keys.size(), 2u);
-  EXPECT_GT(report.prediction.missing, 2);
-  EXPECT_EQ(report.prediction.calls, 2);  // the two covered trmm calls
-  const auto key = std::make_pair(std::string("dtrsm"), std::string("LLNN"));
-  EXPECT_NE(std::find(report.missing_keys.begin(), report.missing_keys.end(),
-                      key),
-            report.missing_keys.end());
-}
-
-TEST(Predictor, TablePathBitIdenticalToStringPath) {
-  const ModelSet set = trinv_v1_models(11.5, 23.25, 5.75);
-  const Predictor pred(set);
-  const CallTrace trace = trace_trinv(1, 250, 100);
-  const Prediction via_strings = pred.predict(trace);
-
-  // Build the dense-table view by hand: intern each call's key.
-  std::vector<const RoutineModel*> table;
-  std::vector<std::pair<std::string, std::string>> keys;
-  std::vector<int> ids;
-  for (const KernelCall& call : trace) {
-    const auto key = std::make_pair(std::string(routine_name(call.routine)),
-                                    call.flag_key());
-    const auto it = std::find(keys.begin(), keys.end(), key);
-    if (it == keys.end()) {
-      keys.push_back(key);
-      table.push_back(set.find(key.first, key.second));
-      ids.push_back(static_cast<int>(keys.size()) - 1);
-    } else {
-      ids.push_back(static_cast<int>(it - keys.begin()));
-    }
-  }
-  const Prediction via_table = predict_with_table(trace, ids, table);
-  EXPECT_EQ(via_table.ticks.min, via_strings.ticks.min);
-  EXPECT_EQ(via_table.ticks.median, via_strings.ticks.median);
-  EXPECT_EQ(via_table.ticks.mean, via_strings.ticks.mean);
-  EXPECT_EQ(via_table.ticks.max, via_strings.ticks.max);
-  EXPECT_EQ(via_table.ticks.stddev, via_strings.ticks.stddev);
-  EXPECT_EQ(via_table.flops, via_strings.flops);
-  EXPECT_EQ(via_table.calls, via_strings.calls);
-  EXPECT_EQ(via_table.skipped, via_strings.skipped);
-  EXPECT_EQ(via_table.missing, via_strings.missing);
-}
-
-TEST(Predictor, TablePathCountsUnresolvedIdsAsMissing) {
-  const CallTrace trace = trace_trinv(1, 128, 64);
-  const std::vector<int> ids(trace.size(), -1);
-  const Prediction p = predict_with_table(trace, ids, {});
-  EXPECT_EQ(p.calls, 0);
-  EXPECT_GT(p.missing, 0);
-  EXPECT_THROW(
-      (void)predict_with_table(trace, std::vector<int>(2, 0), {}),
-      invalid_argument_error);  // id/trace length mismatch
-}
-
-TEST(Predictor, EfficiencyMedianDefinedOnDegenerateInputs) {
+TEST(Prediction, EfficiencyMedianDefinedOnDegenerateInputs) {
   Prediction p;  // empty trace: median 0, calls 0
   EXPECT_EQ(p.calls, 0);
   EXPECT_DOUBLE_EQ(p.efficiency_median(1e9), 0.0);
@@ -307,14 +214,6 @@ TEST(Predictor, EfficiencyMedianDefinedOnDegenerateInputs) {
   EXPECT_DOUBLE_EQ(
       p.efficiency_median(std::numeric_limits<double>::infinity()), 0.0);
   EXPECT_GT(p.efficiency_median(1e9), 0.0);  // sane inputs still work
-}
-
-TEST(Predictor, ModelSetFindIsFlagSensitive) {
-  ModelSet set;
-  set.add(constant_model("dtrsm", "LLNN", 2, 1.0));
-  EXPECT_NE(set.find("dtrsm", "LLNN"), nullptr);
-  EXPECT_EQ(set.find("dtrsm", "RLNN"), nullptr);
-  EXPECT_EQ(set.find("dtrmm", "LLNN"), nullptr);
 }
 
 // ---------------------------------------------------------------- ranking

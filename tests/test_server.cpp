@@ -915,7 +915,7 @@ TEST(ServerLoopback, ErrorStatusesMapThroughTheTable) {
   server.stop();
 }
 
-TEST(ServerLoopback, OversizedTuneSweepIsRejectedBeforeTracing) {
+TEST(ServerLoopback, OversizedRequestsAreRejectedBeforeTracing) {
   TempEngine t("dlapd_test_tune_bound");
   Server server(t.engine, ServerConfig{});
   ASSERT_TRUE(server.start().ok());
@@ -923,13 +923,24 @@ TEST(ServerLoopback, OversizedTuneSweepIsRejectedBeforeTracing) {
 
   // An 80-byte body asking for 400000 sweep points: refused with 422
   // naming the bounds, before a single point is traced.
-  const auto response = client.request(
+  auto response = client.request(
       "POST", "/v1/tune",
       "{\"op\":\"trinv\",\"n\":64,\"lo\":1,\"hi\":400000,\"step\":1}");
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 422);
   EXPECT_NE(response->body.find("INVALID_QUERY"), std::string::npos);
   EXPECT_NE(response->body.find("lo=1, hi=400000, step=1"), std::string::npos)
+      << response->body;
+
+  // One spec above OperationSpec::kMaxSize: refused with 422 naming the
+  // field, before it is traced.
+  response = client.request("POST", "/v1/predict",
+                            "{\"op\":\"trinv\",\"n\":16000,"
+                            "\"blocksize\":16000}");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 422);
+  EXPECT_NE(response->body.find("INVALID_QUERY"), std::string::npos);
+  EXPECT_NE(response->body.find("n must be <= 8192"), std::string::npos)
       << response->body;
   EXPECT_EQ(t.engine.trace_cache_stats().misses, 0u);
   server.stop();
