@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cstdlib>
+#include <fstream>
 
 #include "common/types.hpp"
 
@@ -77,6 +78,17 @@ double parse_double(std::string_view s) {
     throw parse_error("not a number: '" + buf + "'");
   }
   return value;
+}
+
+bool read_file(const std::filesystem::path& path, std::string* text) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in.good() ? std::streamoff(in.tellg()) : -1;
+  if (size < 0) return false;
+  text->resize(static_cast<std::size_t>(size));
+  in.seekg(0);
+  in.read(text->data(), static_cast<std::streamsize>(text->size()));
+  text->resize(static_cast<std::size_t>(in.gcount()));
+  return true;
 }
 
 std::string escape_filename_component(std::string_view s) {

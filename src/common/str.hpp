@@ -1,7 +1,8 @@
 #pragma once
 // Small string utilities used by the sampler's textual call interface and
-// the model repository's serialization format.
+// the repository's text formats.
 
+#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +34,11 @@ namespace dlap {
 
 /// Parses a double; throws dlap::parse_error on malformed input.
 [[nodiscard]] double parse_double(std::string_view s);
+
+/// Reads a whole file (binary) into *text; false when it cannot be
+/// opened.
+[[nodiscard]] bool read_file(const std::filesystem::path& path,
+                             std::string* text);
 
 /// Escapes one file-name component injectively: alphanumerics and '_'
 /// pass through, '@' (the threaded-backend separator) becomes "-t" for

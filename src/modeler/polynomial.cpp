@@ -38,13 +38,13 @@ std::vector<std::vector<int>> monomial_basis(int dims, int degree) {
 }
 
 index_t monomial_count(int dims, int degree) {
-  // binom(dims + degree, degree)
-  index_t num = 1, den = 1;
-  for (int i = 1; i <= degree; ++i) {
-    num *= dims + i;
-    den *= i;
-  }
-  return num / den;
+  // binom(dims + degree, degree) by the exact recurrence
+  // binom(dims + i, i) = binom(dims + i - 1, i - 1) * (dims + i) / i.
+  // The largest intermediate is binom(dims + degree, degree) * degree,
+  // far inside index_t for every basis a model reader accepts.
+  index_t count = 1;
+  for (int i = 1; i <= degree; ++i) count = count * (dims + i) / i;
+  return count;
 }
 
 std::vector<double> Normalization::apply(const std::vector<double>& x) const {

@@ -21,6 +21,11 @@ namespace dlap {
 /// Number of monomials in that basis: binom(dims + degree, degree).
 [[nodiscard]] index_t monomial_count(int dims, int degree);
 
+/// Highest polynomial degree the model readers (text files and
+/// containers) accept. With at most 8 dimensions this keeps
+/// monomial_count at most binom(24, 16) = 735471.
+inline constexpr int kMaxDegree = 16;
+
 /// Affine input normalization z_i = (x_i - shift_i) / scale_i applied
 /// before monomial evaluation; keeps design matrices well conditioned for
 /// parameter values up to thousands.

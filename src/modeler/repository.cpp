@@ -1,13 +1,12 @@
 #include "modeler/repository.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <fstream>
-#include <iomanip>
 #include <span>
-#include <sstream>
 #include <thread>
+#include <type_traits>
 
+#include "common/number_text.hpp"
 #include "common/str.hpp"
 #include "storage/container.hpp"
 
@@ -17,25 +16,72 @@ namespace {
 
 constexpr const char* kMagic = "dlaperf-model v1";
 
-void write_doubles(std::ostream& os, std::span<const double> v) {
-  os << std::setprecision(17);
-  for (double x : v) os << ' ' << x;
+// A piece spans 13 non-empty lines ("piece", bounds, fit_error,
+// mean_error, samples, degree, shift, scale and 5 coef rows), so it takes
+// at least 25 bytes of text. A piece count the remaining text cannot
+// hold is damage, and must fail before anything is reserved for it.
+constexpr std::size_t kMinPieceBytes = 25;
+
+// One "key value" line; doubles print as %.17g, integers in decimal.
+template <class V>
+void put_line(std::string* out, std::string_view key, const V& value) {
+  out->append(key);
+  out->push_back(' ');
+  if constexpr (std::is_floating_point_v<V>) {
+    append_number(value, out);
+  } else if constexpr (std::is_integral_v<V>) {
+    append_integer(value, out);
+  } else {
+    out->append(value);
+  }
+  out->push_back('\n');
 }
 
-std::vector<double> read_doubles(std::istringstream& is, std::size_t n) {
-  std::vector<double> out(n);
-  for (double& x : out) {
-    if (!(is >> x)) throw parse_error("model file: truncated double list");
+void put_numbers(std::string* out, std::span<const double> v) {
+  for (const double x : v) {
+    out->push_back(' ');
+    append_number(x, out);
+  }
+}
+
+void put_bounds(std::string* out, const Region& r) {
+  for (int d = 0; d < r.dims(); ++d) {
+    out->push_back(' ');
+    append_integer(r.lo(d), out);
+    out->push_back(' ');
+    append_integer(r.hi(d), out);
+  }
+  out->push_back('\n');
+}
+
+// Exactly n numbers and nothing after them: a list that does not parse
+// completely is damage.
+template <class T>
+std::vector<T> read_list(NumberReader in, std::size_t n, const char* what) {
+  std::vector<T> out(n);
+  for (T& x : out) {
+    if (!in.read(&x)) {
+      throw parse_error(std::string("model file: truncated ") + what +
+                        " list");
+    }
+  }
+  if (!in.at_end()) {
+    throw parse_error(std::string("model file: trailing text after ") + what +
+                      " list");
   }
   return out;
 }
 
-std::vector<index_t> read_indices(std::istringstream& is, std::size_t n) {
-  std::vector<index_t> out(n);
-  for (index_t& x : out) {
-    if (!(is >> x)) throw parse_error("model file: truncated index list");
+// A "lo hi" pair per dimension.
+Region read_region(std::string_view line, std::size_t dims) {
+  const std::vector<index_t> bounds =
+      read_list<index_t>(NumberReader(line), 2 * dims, "index");
+  std::vector<index_t> lo(dims), hi(dims);
+  for (std::size_t d = 0; d < dims; ++d) {
+    lo[d] = bounds[2 * d];
+    hi[d] = bounds[2 * d + 1];
   }
-  return out;
+  return Region(std::move(lo), std::move(hi));
 }
 
 // Components are escaped injectively (common/str.hpp) and joined with
@@ -81,49 +127,42 @@ std::string ModelRepository::filename(const ModelKey& key) {
 }
 
 std::string ModelRepository::serialize(const RoutineModel& m) {
-  std::ostringstream os;
-  os << kMagic << '\n';
-  os << "routine " << m.key.routine << '\n';
-  os << "backend " << m.key.backend << '\n';
-  os << "locality " << locality_name(m.key.locality) << '\n';
-  os << "flags " << (m.key.flags.empty() ? "-" : m.key.flags) << '\n';
-  os << "strategy " << (m.strategy.empty() ? "-" : m.strategy) << '\n';
-  os << "unique_samples " << m.unique_samples << '\n';
-  os << std::setprecision(17);
-  os << "average_error " << m.average_error << '\n';
+  std::string out;
+  out.append(kMagic);
+  out.push_back('\n');
+  put_line(&out, "routine", m.key.routine);
+  put_line(&out, "backend", m.key.backend);
+  put_line(&out, "locality", locality_name(m.key.locality));
+  put_line(&out, "flags", m.key.flags.empty() ? "-" : m.key.flags);
+  put_line(&out, "strategy", m.strategy.empty() ? "-" : m.strategy);
+  put_line(&out, "unique_samples", m.unique_samples);
+  put_line(&out, "average_error", m.average_error);
 
   const PiecewiseModel& pm = m.model;
-  os << "dims " << pm.dims() << '\n';
-  os << "domain";
-  for (int d = 0; d < pm.dims(); ++d) {
-    os << ' ' << pm.domain().lo(d) << ' ' << pm.domain().hi(d);
-  }
-  os << '\n';
-  os << "pieces " << pm.pieces().size() << '\n';
+  put_line(&out, "dims", pm.dims());
+  out.append("domain");
+  put_bounds(&out, pm.domain());
+  put_line(&out, "pieces", pm.pieces().size());
   for (const RegionModel& p : pm.pieces()) {
-    os << "piece\n";
-    os << "  bounds";
-    for (int d = 0; d < pm.dims(); ++d) {
-      os << ' ' << p.region.lo(d) << ' ' << p.region.hi(d);
-    }
-    os << '\n';
-    os << "  fit_error " << p.fit_error << '\n';
-    os << "  mean_error " << p.mean_error << '\n';
-    os << "  samples " << p.samples_used << '\n';
-    os << "  degree " << p.poly.degree() << '\n';
-    os << "  shift";
-    write_doubles(os, p.poly.normalization().shift);
-    os << '\n';
-    os << "  scale";
-    write_doubles(os, p.poly.normalization().scale);
-    os << '\n';
+    out.append("piece\n  bounds");
+    put_bounds(&out, p.region);
+    put_line(&out, "  fit_error", p.fit_error);
+    put_line(&out, "  mean_error", p.mean_error);
+    put_line(&out, "  samples", p.samples_used);
+    put_line(&out, "  degree", p.poly.degree());
+    out.append("  shift");
+    put_numbers(&out, p.poly.normalization().shift);
+    out.append("\n  scale");
+    put_numbers(&out, p.poly.normalization().scale);
+    out.push_back('\n');
     for (int s = 0; s < kStatCount; ++s) {
-      os << "  coef " << stat_name(static_cast<Stat>(s));
-      write_doubles(os, p.poly.coefficients(static_cast<Stat>(s)));
-      os << '\n';
+      out.append("  coef ");
+      out.append(stat_name(static_cast<Stat>(s)));
+      put_numbers(&out, p.poly.coefficients(static_cast<Stat>(s)));
+      out.push_back('\n');
     }
   }
-  return os.str();
+  return out;
 }
 
 RoutineModel ModelRepository::deserialize(const std::string& text) {
@@ -132,27 +171,29 @@ RoutineModel ModelRepository::deserialize(const std::string& text) {
 
 RoutineModel ModelRepository::deserialize(const std::string& text,
                                           const std::string& source) {
-  std::istringstream lines(text);
-  std::string line;
+  std::size_t pos = 0;
   std::size_t lineno = 0;  // 1-based number of the line being parsed
 
-  auto next_line = [&]() -> std::string {
-    while (std::getline(lines, line)) {
+  // The next non-blank line, trimmed.
+  auto next_line = [&]() -> std::string_view {
+    while (pos < text.size()) {
+      const std::size_t nl = std::min(text.find('\n', pos), text.size());
+      const std::string_view t =
+          trim(std::string_view(text).substr(pos, nl - pos));
+      pos = nl + 1;
       ++lineno;
-      const std::string_view t = trim(line);
-      if (!t.empty()) return std::string(t);
+      if (!t.empty()) return t;
     }
     ++lineno;
     throw parse_error("model file: unexpected end of file");
   };
-  auto expect_kv = [&](const std::string& key) -> std::string {
-    const std::string l = next_line();
-    if (!starts_with(l, key + " ") && l != key) {
-      throw parse_error("model file: expected '" + key + "', got '" + l +
-                        "'");
+  auto expect_kv = [&](std::string_view key) -> std::string_view {
+    const std::string_view l = next_line();
+    if (!(l == key || (starts_with(l, key) && l[key.size()] == ' '))) {
+      throw parse_error("model file: expected '" + std::string(key) +
+                        "', got '" + std::string(l) + "'");
     }
-    return l.size() > key.size() ? std::string(trim(l.substr(key.size())))
-                                 : std::string();
+    return trim(l.substr(key.size()));
   };
 
   try {
@@ -162,30 +203,32 @@ RoutineModel ModelRepository::deserialize(const std::string& text,
 
     RoutineModel m;
     m.source = ModelSource::TextFile;
-    m.key.routine = expect_kv("routine");
-    m.key.backend = expect_kv("backend");
-    m.key.locality = locality_from_name(expect_kv("locality"));
-    const std::string flags = expect_kv("flags");
-    m.key.flags = (flags == "-") ? "" : flags;
-    const std::string strategy = expect_kv("strategy");
-    m.strategy = (strategy == "-") ? "" : strategy;
+    m.key.routine = std::string(expect_kv("routine"));
+    m.key.backend = std::string(expect_kv("backend"));
+    m.key.locality = locality_from_name(std::string(expect_kv("locality")));
+    const std::string_view flags = expect_kv("flags");
+    m.key.flags = (flags == "-") ? "" : std::string(flags);
+    const std::string_view strategy = expect_kv("strategy");
+    m.strategy = (strategy == "-") ? "" : std::string(strategy);
     m.unique_samples =
         static_cast<index_t>(parse_int(expect_kv("unique_samples")));
     m.average_error = parse_double(expect_kv("average_error"));
 
-    const int dims = static_cast<int>(parse_int(expect_kv("dims")));
-    DLAP_REQUIRE(dims >= 1 && dims <= 8, "model file: implausible dims");
+    const long long dims_read = parse_int(expect_kv("dims"));
+    DLAP_REQUIRE(dims_read >= 1 && dims_read <= 8,
+                 "model file: implausible dims");
+    const int dims = static_cast<int>(dims_read);
+    const auto ndims = static_cast<std::size_t>(dims);
 
-    std::istringstream dom(expect_kv("domain"));
-    const std::vector<index_t> dbounds = read_indices(dom, 2 * dims);
-    std::vector<index_t> dlo(dims), dhi(dims);
-    for (int d = 0; d < dims; ++d) {
-      dlo[d] = dbounds[2 * d];
-      dhi[d] = dbounds[2 * d + 1];
-    }
+    Region domain = read_region(expect_kv("domain"), ndims);
 
-    const auto npieces = parse_int(expect_kv("pieces"));
+    const long long npieces = parse_int(expect_kv("pieces"));
     DLAP_REQUIRE(npieces >= 1, "model file: no pieces");
+    if (static_cast<unsigned long long>(npieces) >
+        (text.size() - std::min(pos, text.size())) / kMinPieceBytes) {
+      throw parse_error("model file: " + std::to_string(npieces) +
+                        " pieces cannot fit in the remaining text");
+    }
     std::vector<RegionModel> pieces;
     pieces.reserve(static_cast<std::size_t>(npieces));
 
@@ -193,43 +236,41 @@ RoutineModel ModelRepository::deserialize(const std::string& text,
       if (next_line() != "piece") {
         throw parse_error("model file: missing piece");
       }
-      std::istringstream bnd(expect_kv("bounds"));
-      const std::vector<index_t> bounds = read_indices(bnd, 2 * dims);
-      std::vector<index_t> lo(dims), hi(dims);
-      for (int d = 0; d < dims; ++d) {
-        lo[d] = bounds[2 * d];
-        hi[d] = bounds[2 * d + 1];
-      }
       RegionModel piece;
-      piece.region = Region(lo, hi);
+      piece.region = read_region(expect_kv("bounds"), ndims);
       piece.fit_error = parse_double(expect_kv("fit_error"));
       piece.mean_error = parse_double(expect_kv("mean_error"));
       piece.samples_used =
           static_cast<index_t>(parse_int(expect_kv("samples")));
-      const int degree = static_cast<int>(parse_int(expect_kv("degree")));
+      const long long degree = parse_int(expect_kv("degree"));
+      if (degree < 0 || degree > kMaxDegree) {
+        throw parse_error("model file: degree " + std::to_string(degree) +
+                          " outside [0, " + std::to_string(kMaxDegree) + "]");
+      }
 
       Normalization norm;
-      std::istringstream sh(expect_kv("shift"));
-      norm.shift = read_doubles(sh, static_cast<std::size_t>(dims));
-      std::istringstream sc(expect_kv("scale"));
-      norm.scale = read_doubles(sc, static_cast<std::size_t>(dims));
+      norm.shift =
+          read_list<double>(NumberReader(expect_kv("shift")), ndims, "double");
+      norm.scale =
+          read_list<double>(NumberReader(expect_kv("scale")), ndims, "double");
 
-      const std::size_t ncoef =
-          static_cast<std::size_t>(monomial_count(dims, degree));
+      const auto ncoef = static_cast<std::size_t>(
+          monomial_count(dims, static_cast<int>(degree)));
       std::vector<std::vector<double>> coeffs(kStatCount);
       for (int s = 0; s < kStatCount; ++s) {
-        std::istringstream cs(expect_kv("coef"));
-        std::string name;
-        cs >> name;
-        const Stat stat = stat_from_name(name);
-        coeffs[static_cast<std::size_t>(stat)] = read_doubles(cs, ncoef);
+        NumberReader cs(expect_kv("coef"));
+        std::string_view name;
+        (void)cs.read_word(&name);
+        const Stat stat = stat_from_name(std::string(name));
+        coeffs[static_cast<std::size_t>(stat)] =
+            read_list<double>(cs, ncoef, "double");
       }
-      piece.poly = VecPolynomial(dims, degree, std::move(norm),
-                                 std::move(coeffs));
+      piece.poly = VecPolynomial(dims, static_cast<int>(degree),
+                                 std::move(norm), std::move(coeffs));
       pieces.push_back(std::move(piece));
     }
 
-    m.model = PiecewiseModel(Region(dlo, dhi), std::move(pieces));
+    m.model = PiecewiseModel(std::move(domain), std::move(pieces));
     return m;
   } catch (const parse_error& e) {
     // Re-throw with the offending source and line number prepended, so a
@@ -266,12 +307,9 @@ void ModelRepository::store(const RoutineModel& model) {
 std::shared_ptr<const RoutineModel> ModelRepository::load_uncached(
     const ModelKey& key) const {
   const std::filesystem::path path = dir_ / filename(key);
-  std::ifstream in(path);
-  if (!in.good()) return nullptr;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return std::make_shared<const RoutineModel>(
-      deserialize(buf.str(), path.string()));
+  std::string text;
+  if (!read_file(path, &text)) return nullptr;
+  return std::make_shared<const RoutineModel>(deserialize(text, path.string()));
 }
 
 std::shared_ptr<const RoutineModel> ModelRepository::load_from_container(
@@ -333,10 +371,9 @@ std::vector<ModelKey> ModelRepository::list() const {
   std::vector<ModelKey> keys;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
     if (entry.path().extension() != ".model") continue;
-    std::ifstream in(entry.path());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    keys.push_back(deserialize(buf.str(), entry.path().string()).key);
+    std::string text;
+    (void)read_file(entry.path(), &text);
+    keys.push_back(deserialize(text, entry.path().string()).key);
   }
   const std::shared_ptr<const storage::ContainerReader> packed = container();
   if (packed != nullptr) {

@@ -1,10 +1,9 @@
 #include "sampler/sample_store.hpp"
 
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 #include <thread>
 
+#include "common/number_text.hpp"
 #include "common/str.hpp"
 #include "storage/container.hpp"
 
@@ -22,13 +21,32 @@ constexpr const char* kMagic = "dlaperf-samples v1";
 // written with 17 significant digits so every double round-trips
 // exactly -- warm-started generations must be bit-identical to the runs
 // that paid for the measurements.
-void write_line(std::ostream& os, const std::vector<index_t>& point,
-                const SampleStats& stats) {
-  os << "p " << point.size();
-  for (const index_t c : point) os << ' ' << c;
-  os << std::setprecision(17);
-  os << ' ' << stats.min << ' ' << stats.median << ' ' << stats.mean << ' '
-     << stats.max << ' ' << stats.stddev << ' ' << stats.count << '\n';
+void append_line(const std::vector<index_t>& point, const SampleStats& stats,
+                 std::string* out) {
+  out->append("p ");
+  append_integer(point.size(), out);
+  for (const index_t c : point) {
+    out->push_back(' ');
+    append_integer(c, out);
+  }
+  for (const double v :
+       {stats.min, stats.median, stats.mean, stats.max, stats.stddev}) {
+    out->push_back(' ');
+    append_number(v, out);
+  }
+  out->push_back(' ');
+  append_integer(stats.count, out);
+  out->push_back('\n');
+}
+
+// Non-finite statistics (a hostile measure hook) would serialize as
+// inf/nan, which the journal parser rejects -- replay would treat the
+// line as a torn tail and discard every entry after it. Such points stay
+// memory-only instead of poisoning the journal.
+bool journalable(const SampleStats& stats) {
+  return std::isfinite(stats.min) && std::isfinite(stats.median) &&
+         std::isfinite(stats.mean) && std::isfinite(stats.max) &&
+         std::isfinite(stats.stddev);
 }
 
 }  // namespace
@@ -37,29 +55,28 @@ std::string_view SampleStore::journal_magic() { return kMagic; }
 
 std::string SampleStore::format_journal_line(
     const std::vector<index_t>& point, const SampleStats& stats) {
-  std::ostringstream os;
-  write_line(os, point, stats);
-  return os.str();
+  std::string line;
+  append_line(point, stats, &line);
+  return line;
 }
 
-bool SampleStore::parse_journal_line(const std::string& line,
+bool SampleStore::parse_journal_line(std::string_view line,
                                      std::vector<index_t>* point,
                                      SampleStats* stats) {
-  std::istringstream is(line);
-  std::string tag;
+  NumberReader in(line);
+  std::string_view tag;
   std::size_t dims = 0;
-  if (!(is >> tag >> dims) || tag != "p" || dims == 0 || dims > 8) {
+  if (!in.read_word(&tag) || tag != "p" || !in.read(&dims) || dims == 0 ||
+      dims > 8) {
     return false;
   }
   point->resize(dims);
   for (index_t& c : *point) {
-    if (!(is >> c)) return false;
+    if (!in.read(&c)) return false;
   }
-  if (!(is >> stats->min >> stats->median >> stats->mean >> stats->max >>
-        stats->stddev >> stats->count)) {
-    return false;
-  }
-  return true;
+  return in.read(&stats->min) && in.read(&stats->median) &&
+         in.read(&stats->mean) && in.read(&stats->max) &&
+         in.read(&stats->stddev) && in.read(&stats->count) && in.at_end();
 }
 
 SampleStore::SampleStore(std::filesystem::path dir) : dir_(std::move(dir)) {
@@ -120,23 +137,12 @@ void SampleStore::ensure_replayed(std::string_view engine_key,
     // a clean final newline instead of fusing with the torn tail.
     const std::filesystem::path path = dir_ / journal_filename(engine_key);
     std::string text;
-    bool have_file = false;
-    {
-      std::ifstream in(path, std::ios::binary);
-      if (in.good()) {
-        have_file = true;
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        text = buf.str();
-      }
-    }
-
-    if (have_file) {
+    if (read_file(path, &text)) {
       bool damaged = false;
       std::string damage_what;
       std::size_t pos = 0;
       std::size_t lineno = 0;  // 1-based number of the line just read
-      const auto next_line = [&]() -> std::optional<std::string> {
+      const auto next_line = [&]() -> std::optional<std::string_view> {
         if (pos >= text.size()) return std::nullopt;
         ++lineno;
         const auto nl = text.find('\n', pos);
@@ -146,12 +152,12 @@ void SampleStore::ensure_replayed(std::string_view engine_key,
           pos = text.size();
           return std::nullopt;
         }
-        std::string line = text.substr(pos, nl - pos);
+        const std::string_view line(text.data() + pos, nl - pos);
         pos = nl + 1;
         return line;
       };
 
-      const std::optional<std::string> magic = next_line();
+      const std::optional<std::string_view> magic = next_line();
       if (!magic.has_value() || *magic != kMagic) {
         if (!text.empty()) {
           damaged = true;  // not a journal at all
@@ -160,7 +166,7 @@ void SampleStore::ensure_replayed(std::string_view engine_key,
       } else {
         std::vector<index_t> point;
         SampleStats stats;
-        while (const std::optional<std::string> line = next_line()) {
+        while (const std::optional<std::string_view> line = next_line()) {
           if (!parse_journal_line(*line, &point, &stats)) {
             damaged = true;
             damage_what = "malformed sample line";
@@ -179,16 +185,18 @@ void SampleStore::ensure_replayed(std::string_view engine_key,
                                   std::to_string(cache.points.size()) +
                                   " entries, discarded the rest");
         }
+        std::string recovered = std::string(kMagic) + '\n';
+        for (const auto& [p, entry] : cache.points) {
+          append_line(p, entry.stats, &recovered);
+        }
         const std::filesystem::path tmp =
             path.string() + ".tmp" +
             std::to_string(
                 std::hash<std::thread::id>{}(std::this_thread::get_id()));
         std::ofstream out(tmp, std::ios::binary);
         if (out.good()) {
-          out << kMagic << '\n';
-          for (const auto& [p, entry] : cache.points) {
-            write_line(out, p, entry.stats);
-          }
+          out.write(recovered.data(),
+                    static_cast<std::streamsize>(recovered.size()));
           out.close();
           std::error_code ec;
           std::filesystem::rename(tmp, path, ec);  // best effort: cache wins
@@ -215,18 +223,7 @@ void SampleStore::ensure_replayed(std::string_view engine_key,
 }
 
 void SampleStore::append(std::string_view engine_key, KeyCache& cache,
-                         const std::vector<index_t>& point,
-                         const SampleStats& stats) {
-  if (dir_.empty()) return;
-  // Non-finite statistics (a hostile measure hook) would serialize as
-  // inf/nan, which istream extraction cannot read back -- replay would
-  // treat the line as a torn tail and discard every entry after it.
-  // Keep such points memory-only instead of poisoning the journal.
-  if (!std::isfinite(stats.min) || !std::isfinite(stats.median) ||
-      !std::isfinite(stats.mean) || !std::isfinite(stats.max) ||
-      !std::isfinite(stats.stddev)) {
-    return;
-  }
+                         std::string_view lines) {
   if (!cache.journal.is_open()) {
     const std::filesystem::path path = dir_ / journal_filename(engine_key);
     const bool fresh =
@@ -237,19 +234,25 @@ void SampleStore::append(std::string_view engine_key, KeyCache& cache,
     if (!cache.journal.good()) return;  // read-only repository: stay in memory
     if (fresh) cache.journal << kMagic << '\n';
   }
-  // One ostream << chain per line plus a flush: a crash can truncate the
-  // final line but never interleave or corrupt earlier ones.
-  write_line(cache.journal, point, stats);
+  // Whole lines, one write and one flush per batch: a crash can tear the
+  // batch's last written line but never interleave or corrupt earlier
+  // ones.
+  cache.journal.write(lines.data(), static_cast<std::streamsize>(lines.size()));
   cache.journal.flush();
 }
 
-const SampleStore::Entry& SampleStore::insert_locked(
-    std::string_view engine_key, KeyCache& cache,
-    const std::vector<index_t>& point, const SampleStats& stats) {
-  const auto [it, inserted] =
-      cache.points.emplace(point, Entry{stats, /*from_disk=*/false});
-  if (inserted) append(engine_key, cache, point, stats);
-  return it->second;
+void SampleStore::insert_locked(std::string_view engine_key, KeyCache& cache,
+                                std::span<const Measured> batch) {
+  std::string lines;
+  for (const Measured& m : batch) {
+    const bool inserted =
+        cache.points.try_emplace(*m.point, Entry{m.stats, /*from_disk=*/false})
+            .second;
+    if (inserted && persistent() && journalable(m.stats)) {
+      append_line(*m.point, m.stats, &lines);
+    }
+  }
+  if (!lines.empty()) append(engine_key, cache, lines);
 }
 
 SampleStore::Origin SampleStore::probe(std::string_view engine_key,
@@ -273,12 +276,18 @@ SampleStore::Origin SampleStore::probe(std::string_view engine_key,
 }
 
 void SampleStore::insert(std::string_view engine_key,
-                         const std::vector<index_t>& point,
-                         const SampleStats& stats) {
+                         std::span<const Measured> batch) {
   KeyCache& cache = key_cache(engine_key);
   std::lock_guard<std::mutex> lock(cache.m);
   ensure_replayed(engine_key, cache);
-  (void)insert_locked(engine_key, cache, point, stats);
+  insert_locked(engine_key, cache, batch);
+}
+
+void SampleStore::insert(std::string_view engine_key,
+                         const std::vector<index_t>& point,
+                         const SampleStats& stats) {
+  const Measured one{&point, stats};
+  insert(engine_key, std::span<const Measured>(&one, 1));
 }
 
 SampleStats SampleStore::get_or_measure(std::string_view engine_key,
@@ -290,10 +299,12 @@ SampleStats SampleStore::get_or_measure(std::string_view engine_key,
   // the lock here would serialize all concurrent measurements of the key.
   // Duplicated measurements of one (key, point) pair can race here; the
   // first insert wins and both callers return coherent statistics.
-  const SampleStats stats = measure(point);
+  const Measured one{&point, measure(point)};
   KeyCache& cache = key_cache(engine_key);
   std::lock_guard<std::mutex> lock(cache.m);
-  return insert_locked(engine_key, cache, point, stats).stats;
+  ensure_replayed(engine_key, cache);
+  insert_locked(engine_key, cache, std::span<const Measured>(&one, 1));
+  return cache.points.find(point)->second.stats;
 }
 
 std::size_t SampleStore::size() const {

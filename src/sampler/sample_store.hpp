@@ -13,12 +13,17 @@
 //
 // When constructed with a directory the store becomes *persistent*: every
 // engine key owns an append-only text journal (one file per key, beside
-// the model repository), each measurement is appended as one flushed
-// line, and the journal is replayed lazily on the key's first access.
-// A second run, a widened-domain regeneration, or a crash-resume
-// therefore warm-starts from every measurement a previous process paid
-// for. Appends are single full lines, so a crash can at worst leave a
-// truncated final line -- replay tolerates that by discarding the tail.
+// the model repository), and the journal is replayed lazily on the key's
+// first access. A second run, a widened-domain regeneration, or a
+// crash-resume therefore warm-starts from every measurement a previous
+// process paid for. Points are journaled per inserted batch -- in batch
+// order, formatted into one buffer, written and flushed once -- so a
+// journal's content does not depend on measurement completion order, and
+// durability is per batch: a crash loses at most the batch being written.
+// Nothing has consumed that batch yet (the scheduler stores a batch
+// before it releases any of its points), so a restart re-measures it. A
+// torn write leaves complete lines plus at most one partial final line;
+// replay keeps the complete lines and discards the tail.
 //
 // Thread safety: all members may be called concurrently. Locking is
 // per engine key (a global mutex guards only the key table), so
@@ -34,6 +39,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -90,8 +96,21 @@ class SampleStore {
                              const std::vector<index_t>& point,
                              SampleStats* stats, bool count_miss = true);
 
-  /// Inserts a measured point (first insert wins) and appends it to the
-  /// key's journal when the store is persistent.
+  /// One measured point of a batch insert. The point is borrowed for
+  /// the duration of the call.
+  struct Measured {
+    const std::vector<index_t>* point = nullptr;
+    SampleStats stats;
+  };
+
+  /// Inserts a batch of measured points under one lock of the key (the
+  /// first insert of a point wins). When the store is persistent, the
+  /// newly inserted points with finite statistics are appended to the
+  /// key's journal in batch order, with one write and one flush.
+  /// Non-finite statistics stay memory-only: the journal must replay.
+  void insert(std::string_view engine_key, std::span<const Measured> batch);
+
+  /// Inserts one measured point: a batch of one.
   void insert(std::string_view engine_key, const std::vector<index_t>& point,
               const SampleStats& stats);
 
@@ -135,8 +154,9 @@ class SampleStore {
   /// digits so every double round-trips exactly.
   [[nodiscard]] static std::string format_journal_line(
       const std::vector<index_t>& point, const SampleStats& stats);
-  /// Parses one journal line; false on malformed/truncated content.
-  [[nodiscard]] static bool parse_journal_line(const std::string& line,
+  /// Parses one journal line (without its newline); false on malformed
+  /// or truncated content, trailing tokens, or non-finite statistics.
+  [[nodiscard]] static bool parse_journal_line(std::string_view line,
                                                std::vector<index_t>* point,
                                                SampleStats* stats);
 
@@ -166,16 +186,16 @@ class SampleStore {
   /// cache.m.
   void ensure_replayed(std::string_view engine_key, KeyCache& cache);
 
-  /// Inserts (first wins) and journals the point. Caller holds cache.m
-  /// (with the journal replayed).
-  const Entry& insert_locked(std::string_view engine_key, KeyCache& cache,
-                             const std::vector<index_t>& point,
-                             const SampleStats& stats);
+  /// Inserts the batch (first wins) and journals the newly inserted
+  /// points. Caller holds cache.m (with the journal replayed).
+  void insert_locked(std::string_view engine_key, KeyCache& cache,
+                     std::span<const Measured> batch);
 
-  /// Appends one point to the key's journal (opens it, writing the magic
-  /// header, on first use). Caller holds cache.m.
+  /// Appends formatted journal lines to the key's journal with one write
+  /// and one flush (opens it, writing the magic header, on first use).
+  /// Caller holds cache.m.
   void append(std::string_view engine_key, KeyCache& cache,
-              const std::vector<index_t>& point, const SampleStats& stats);
+              std::string_view lines);
 
   std::filesystem::path dir_;
   mutable std::mutex table_mutex_;  ///< guards keys_ lookup/creation only

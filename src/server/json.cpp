@@ -1,10 +1,10 @@
 #include "server/json.hpp"
 
-#include <charconv>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+
+#include "common/number_text.hpp"
 
 namespace dlap::server {
 
@@ -251,30 +251,11 @@ void dump_string(const std::string& s, std::string* out) {
   out->push_back('"');
 }
 
-void dump_number(double v, std::string* out) {
-  // The text of printf("%.17g"): it round-trips every finite double
-  // exactly, and integral values print without a decimal point, so
-  // integers stay integers on the wire. std::to_chars with general
-  // format and precision 17 is specified as that same conversion. An
-  // exact integer below 1e17 prints all its digits with no exponent, so
-  // the integer writer gives the same text faster; -0.0 goes through the
-  // double writer to keep its sign.
-  char buf[32];
-  const bool exact_integer = std::fabs(v) < 1e17 && std::trunc(v) == v &&
-                             !(v == 0.0 && std::signbit(v));
-  const std::to_chars_result written =
-      exact_integer
-          ? std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(v))
-          : std::to_chars(buf, buf + sizeof buf, v,
-                          std::chars_format::general, 17);
-  out->append(buf, written.ptr);
-}
-
 void dump_value(const Json& v, std::string* out) {
   switch (v.type()) {
     case Json::Type::Null: *out += "null"; break;
     case Json::Type::Bool: *out += v.as_bool() ? "true" : "false"; break;
-    case Json::Type::Number: dump_number(v.as_number(), out); break;
+    case Json::Type::Number: append_number(v.as_number(), out); break;
     case Json::Type::String: dump_string(v.as_string(), out); break;
     case Json::Type::Array: {
       out->push_back('[');

@@ -5,7 +5,7 @@
 // are flat objects of numbers, strings and short arrays, so this is a
 // straightforward recursive-descent parser (depth-limited) over a
 // variant-style value. Numbers are IEEE doubles written as the exact
-// text of printf("%.17g") (by std::to_chars), which round-trips
+// text of printf("%.17g") (common/number_text.hpp), which round-trips
 // bit-exactly -- the server's "responses bit-identical to in-process
 // Engine calls" gate rides on that. Parse errors throw dlap::parse_error
 // naming the byte offset; binding errors (wrong type, missing field) are

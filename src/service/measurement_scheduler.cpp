@@ -1,5 +1,6 @@
 #include "service/measurement_scheduler.hpp"
 
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -100,42 +101,53 @@ std::vector<SampleStats> MeasurementScheduler::fulfill(
       ++counts.measured;
     }
 
-    // Measure the claimed points. Each point is inserted into the store
-    // (journaled when persistent) and its promise settled *before* the
-    // in-flight registration is dropped, so joiners either see the
-    // future or find the point in the store. Exceptions settle every
-    // remaining claim (waiters must never hang) and surface after the
-    // batch.
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    const auto measure_claim = [&](const Claim& claim) {
-      const std::vector<index_t>& point = points[claim.index];
+    // Measure the claimed points, store the successful ones as one batch
+    // (one journal write when persistent), and only then settle each
+    // promise and drop its in-flight registration. Joiners therefore
+    // either see the future or find the point in the store, which the
+    // re-probe above relies on. A failed point settles its waiters with
+    // its error; the batch's successful points are still stored, and the
+    // first failure in batch order surfaces after the batch.
+    std::vector<std::exception_ptr> errors(claims.size());
+    const auto measure_claim = [&](std::size_t c) {
+      const std::size_t i = claims[c].index;
       try {
-        const SampleStats measured = measure(point);
-        store_->insert(engine_key, point, measured);
-        results[claim.index] = measured;
-        claim.promise->set_value(measured);
+        results[i] = measure(points[i]);
       } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-        claim.promise->set_exception(std::current_exception());
+        errors[c] = std::current_exception();
       }
-      remove_inflight(point);
     };
 
     if (mode == Mode::Exclusive || claims.size() <= 1) {
-      for (const Claim& claim : claims) measure_claim(claim);
+      for (std::size_t c = 0; c < claims.size(); ++c) measure_claim(c);
     } else {
       // The calling thread participates in the fan-out, so this is safe
       // to run from a pool worker (generation tasks) without
       // deadlocking a saturated pool.
       pool_->parallel_for_each(static_cast<index_t>(claims.size()),
-                               [&](index_t i) {
-                                 measure_claim(
-                                     claims[static_cast<std::size_t>(i)]);
+                               [&](index_t c) {
+                                 measure_claim(static_cast<std::size_t>(c));
                                });
+    }
+
+    std::vector<SampleStore::Measured> measured;
+    measured.reserve(claims.size());
+    for (std::size_t c = 0; c < claims.size(); ++c) {
+      const std::size_t i = claims[c].index;
+      if (!errors[c]) measured.push_back({&points[i], results[i]});
+    }
+    store_->insert(engine_key, measured);
+
+    std::exception_ptr first_error;
+    for (std::size_t c = 0; c < claims.size(); ++c) {
+      const std::size_t i = claims[c].index;
+      if (errors[c]) {
+        claims[c].promise->set_exception(errors[c]);
+        if (!first_error) first_error = errors[c];
+      } else {
+        claims[c].promise->set_value(results[i]);
+      }
+      remove_inflight(points[i]);
     }
 
     // Collect joined points last: their owners run concurrently with
@@ -150,7 +162,7 @@ std::vector<SampleStats> MeasurementScheduler::fulfill(
     // triage loop itself) must not strand a registered claim: settle
     // every one of this call's promises that is still open -- waiters
     // on a dead future would otherwise hang forever -- and drop those
-    // registrations so later fulfills re-measure. Claims measure_claim
+    // registrations so later fulfills re-measure. Claims the settle loop
     // already settled were also already deregistered; touching them
     // again could erase a LATER caller's fresh registration of the same
     // point and let two measurements race.
@@ -159,7 +171,7 @@ std::vector<SampleStats> MeasurementScheduler::fulfill(
       try {
         claim.promise->set_exception(error);
       } catch (const std::future_error&) {
-        continue;  // settled (and deregistered) by measure_claim
+        continue;  // settled (and deregistered) by the settle loop
       }
       remove_inflight(points[claim.index]);
     }

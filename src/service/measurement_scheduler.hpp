@@ -20,10 +20,13 @@
 //      (real timing on a backend instance, where concurrent kernel
 //      execution would corrupt the measured ticks).
 //
-// Every newly measured point is inserted into the store (and journaled
-// when persistent) before its waiters are released. Results come back in
-// batch order, so with a deterministic measurement source a fulfilled
-// batch is bit-identical to measuring the batch sequentially.
+// A fulfillment's newly measured points are inserted into the store as
+// one batch -- journaled, when persistent, in batch order with one write
+// -- before any of their waiters is released. A crash therefore loses at
+// most the batch in flight, which nothing has consumed yet. Results come
+// back in batch order, so with a deterministic measurement source a
+// fulfilled batch is bit-identical to measuring the batch sequentially,
+// and the journal it leaves does not depend on completion order.
 
 #include <functional>
 #include <future>
@@ -83,8 +86,9 @@ class MeasurementScheduler {
   MeasurementScheduler& operator=(const MeasurementScheduler&) = delete;
 
   /// Fulfills `points` for `engine_key`, returning statistics in point
-  /// order. Throws the first measurement error (after settling every
-  /// in-flight registration, so concurrent waiters never hang).
+  /// order. Throws the first measurement error in batch order, after
+  /// storing the batch's successful points and settling every in-flight
+  /// registration, so concurrent waiters never hang.
   [[nodiscard]] std::vector<SampleStats> fulfill(
       std::string_view engine_key,
       const std::vector<std::vector<index_t>>& points,

@@ -14,7 +14,6 @@ constexpr std::size_t kHeaderSize = 80;
 constexpr std::size_t kModelEntrySize = 72;
 constexpr std::size_t kSampleEntrySize = 32;
 constexpr int kMaxDims = 8;
-constexpr std::uint32_t kMaxDegree = 16;
 
 // ------------------------------------------------------------- emitters
 
@@ -79,7 +78,7 @@ void ContainerWriter::add_model(const RoutineModel& model) {
                          static_cast<std::size_t>(pm.dims()),
                  "piece dimensionality disagrees with the model domain");
     DLAP_REQUIRE(p.poly.degree() >= 0 &&
-                     p.poly.degree() <= static_cast<int>(kMaxDegree),
+                     p.poly.degree() <= kMaxDegree,
                  "cannot pack a polynomial of implausible degree");
   }
   models_[model.key] = model;
@@ -489,7 +488,7 @@ std::shared_ptr<const RoutineModel> ContainerReader::load_entry(
       piece.samples_used = cur.i64();
       const std::uint32_t degree = cur.u32();
       const std::uint32_t ncoef = cur.u32();
-      if (degree > kMaxDegree ||
+      if (degree > static_cast<std::uint32_t>(kMaxDegree) ||
           ncoef != static_cast<std::uint32_t>(
                        monomial_count(dims, static_cast<int>(degree)))) {
         throw container_error("model record " + entry.key.to_string() +

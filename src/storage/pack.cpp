@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "common/str.hpp"
 #include "modeler/repository.hpp"
 #include "sampler/sample_store.hpp"
 
@@ -16,13 +17,11 @@ namespace dlap::storage {
 namespace {
 
 std::string read_text_file(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
+  std::string text;
+  if (!read_file(path, &text)) {
     throw parse_error("cannot open: " + path.string());
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+  return text;
 }
 
 /// Strict journal parse for packing: any damage (bad magic, malformed
@@ -38,23 +37,23 @@ std::vector<SamplePoint> parse_journal_strict(
     throw parse_error(path.string() + ":" + std::to_string(lineno) + ": " +
                       what);
   };
-  const auto next_line = [&]() -> std::optional<std::string> {
+  const auto next_line = [&]() -> std::optional<std::string_view> {
     if (pos >= text.size()) return std::nullopt;
     ++lineno;
     const auto nl = text.find('\n', pos);
     if (nl == std::string::npos) fail("unterminated final line");
-    std::string line = text.substr(pos, nl - pos);
+    const std::string_view line(text.data() + pos, nl - pos);
     pos = nl + 1;
     return line;
   };
 
-  const std::optional<std::string> magic = next_line();
+  const std::optional<std::string_view> magic = next_line();
   if (!magic.has_value() || *magic != SampleStore::journal_magic()) {
     lineno = 1;
     fail("bad magic (not a dlaperf sample journal)");
   }
   std::size_t dims = 0;
-  while (const std::optional<std::string> line = next_line()) {
+  while (const std::optional<std::string_view> line = next_line()) {
     SamplePoint e;
     if (!SampleStore::parse_journal_line(*line, &e.point, &e.stats)) {
       fail("malformed sample line");

@@ -1,18 +1,23 @@
-// Unit tests for the common substrate: strings, env, RNG, matrices,
-// matrix utilities, and the thread pool.
+// Unit tests for the common substrate: strings, the number text codec,
+// env, RNG, matrices, matrix utilities, and the thread pool.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <random>
 #include <set>
 
 #include "common/env.hpp"
 #include "common/matrix.hpp"
 #include "common/matrix_util.hpp"
+#include "common/number_text.hpp"
 #include "common/rng.hpp"
 #include "common/str.hpp"
 #include "common/threadpool.hpp"
+#include "reference_codecs.hpp"
 
 namespace dlap {
 namespace {
@@ -74,6 +79,70 @@ TEST(Str, ParseDoubleRejectsGarbage) {
   EXPECT_THROW(parse_double("abc"), parse_error);
   EXPECT_THROW(parse_double("1.2.3"), parse_error);
   EXPECT_THROW(parse_double(""), parse_error);
+}
+
+// ------------------------------------------------------------ number text
+
+TEST(NumberText, WriterIsPrintfG17) {
+  std::mt19937_64 rng(0x0c0d0016u);
+  for (int n = 0; n < 100000; ++n) {
+    const double v = reference::stress_double(rng);
+    char expected[40];
+    std::snprintf(expected, sizeof expected, "%.17g", v);
+    std::string got;
+    append_number(v, &got);
+    ASSERT_EQ(got, expected) << std::bit_cast<std::uint64_t>(v);
+
+    double back = 0.0;
+    NumberReader in(got);
+    ASSERT_TRUE(in.read(&back)) << got;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(back),
+              std::bit_cast<std::uint64_t>(v))
+        << got;
+  }
+  std::string ints;
+  append_integer(INT64_MIN, &ints);
+  ints.push_back(' ');
+  append_integer(std::size_t{18446744073709551615u}, &ints);
+  EXPECT_EQ(ints, "-9223372036854775808 18446744073709551615");
+}
+
+TEST(NumberText, ReaderTakesWholeFiniteTokensOnly) {
+  NumberReader in(" \t-8 word 0.5\t-0 4.9406564584124654e-324 ");
+  std::int64_t i = 0;
+  std::string_view w;
+  double d = 1.0;
+  ASSERT_TRUE(in.read(&i));
+  EXPECT_EQ(i, -8);
+  EXPECT_FALSE(in.read(&d));  // "word": not a number, not consumed
+  ASSERT_TRUE(in.read_word(&w));
+  EXPECT_EQ(w, "word");
+  ASSERT_TRUE(in.read(&d));
+  EXPECT_EQ(d, 0.5);
+  ASSERT_TRUE(in.read(&d));
+  EXPECT_TRUE(std::signbit(d));
+  ASSERT_TRUE(in.read(&d));
+  EXPECT_EQ(d, 4.9406564584124654e-324);
+  EXPECT_TRUE(in.at_end());
+  EXPECT_FALSE(in.read(&d));
+  EXPECT_FALSE(in.read_word(&w));
+
+  const auto rejects = [](std::string_view text, auto value) {
+    NumberReader r(text);
+    return !r.read(&value);
+  };
+  EXPECT_TRUE(rejects("+1", 0.0));
+  EXPECT_TRUE(rejects("1e-400", 0.0));  // underflows to zero
+  EXPECT_TRUE(rejects("1e400", 0.0));
+  EXPECT_TRUE(rejects("nan", 0.0));
+  EXPECT_TRUE(rejects("inf", 0.0));
+  EXPECT_TRUE(rejects("0x1p3", 0.0));
+  EXPECT_TRUE(rejects("1.5x", 0.0));    // token must end at a blank
+  EXPECT_TRUE(rejects("1.5\r", 0.0));
+  EXPECT_TRUE(rejects("", 0.0));
+  EXPECT_TRUE(rejects("7.0", std::int64_t{0}));
+  EXPECT_TRUE(rejects("9223372036854775808", std::int64_t{0}));
+  EXPECT_TRUE(rejects("-1", std::size_t{0}));
 }
 
 // -------------------------------------------------------------------- env

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <random>
 #include <set>
 
 #include "modeler/fit.hpp"
@@ -17,6 +20,7 @@
 #include "modeler/repository.hpp"
 #include "common/matrix_util.hpp"
 #include "common/rng.hpp"
+#include "reference_codecs.hpp"
 
 namespace dlap {
 namespace {
@@ -29,6 +33,19 @@ TEST(Monomials, CountMatchesBinomial) {
   EXPECT_EQ(monomial_count(3, 2), 10);
   EXPECT_EQ(monomial_count(2, 3), 10);
   EXPECT_EQ(monomial_count(3, 3), 20);
+}
+
+TEST(Monomials, CountIsExactAtTheReaderBounds) {
+  // binom(24, 16): the largest basis a model reader accepts (8 dims,
+  // degree kMaxDegree). The product form overflowed int64 here.
+  EXPECT_EQ(monomial_count(8, kMaxDegree), 735471);
+  EXPECT_EQ(monomial_count(8, 0), 1);
+  for (int dims = 1; dims <= 3; ++dims) {
+    for (int degree = 0; degree <= 6; ++degree) {
+      EXPECT_EQ(monomial_count(dims, degree),
+                static_cast<index_t>(monomial_basis(dims, degree).size()));
+    }
+  }
 }
 
 TEST(Monomials, BasisIsGradedAndComplete) {
@@ -505,6 +522,110 @@ TEST(Repository, CorruptedFileThrowsParseError) {
   const std::string text = ModelRepository::serialize(make_test_model());
   EXPECT_THROW(ModelRepository::deserialize(text.substr(0, text.size() / 2)),
                parse_error);
+}
+
+// A random model whose every number stresses the %.17g writer.
+RoutineModel stress_model(std::mt19937_64& rng) {
+  const int dims = 1 + static_cast<int>(rng() % 3);
+  const auto region = [&] {
+    std::vector<index_t> lo(dims), hi(dims);
+    for (int d = 0; d < dims; ++d) {
+      lo[d] = -static_cast<index_t>(rng() % 5000);
+      hi[d] = lo[d] + static_cast<index_t>(rng() % 100000);
+    }
+    return Region(lo, hi);
+  };
+  std::vector<RegionModel> pieces(1 + rng() % 3);
+  for (RegionModel& piece : pieces) {
+    const int degree = static_cast<int>(rng() % 4);
+    Normalization norm;
+    for (int d = 0; d < dims; ++d) {
+      norm.shift.push_back(reference::stress_double(rng));
+      norm.scale.push_back(reference::stress_double(rng));
+    }
+    std::vector<std::vector<double>> coeffs(kStatCount);
+    for (auto& c : coeffs) {
+      c.resize(static_cast<std::size_t>(monomial_count(dims, degree)));
+      for (double& x : c) x = reference::stress_double(rng);
+    }
+    piece.region = region();
+    piece.poly = VecPolynomial(dims, degree, norm, coeffs);
+    piece.fit_error = reference::stress_double(rng);
+    piece.mean_error = reference::stress_double(rng);
+    piece.samples_used = reference::stress_index(rng);
+  }
+  RoutineModel m;
+  m.key = {"dgemm", "blocked", Locality::OutOfCache, rng() % 2 ? "NT" : ""};
+  m.model = PiecewiseModel(region(), std::move(pieces));
+  m.unique_samples = reference::stress_index(rng);
+  m.average_error = reference::stress_double(rng);
+  m.strategy = rng() % 2 ? "refinement" : "";
+  return m;
+}
+
+TEST(Repository, SerializeMatchesIostreamOracleAndParsesBitExactly) {
+  std::mt19937_64 rng(0x0de10016u);
+  for (int n = 0; n < 300; ++n) {
+    const RoutineModel m = stress_model(rng);
+    const std::string text = ModelRepository::serialize(m);
+    ASSERT_EQ(text, reference::serialize_model(m));
+    const RoutineModel back = ModelRepository::deserialize(text);
+    // Every number parsed back to the same bits, so the text is stable.
+    EXPECT_EQ(ModelRepository::serialize(back), text);
+    ASSERT_EQ(back.model.pieces().size(), m.model.pieces().size());
+    for (std::size_t p = 0; p < m.model.pieces().size(); ++p) {
+      const VecPolynomial& a = m.model.pieces()[p].poly;
+      const VecPolynomial& b = back.model.pieces()[p].poly;
+      for (int s = 0; s < kStatCount; ++s) {
+        const auto ca = a.coefficients(static_cast<Stat>(s));
+        const auto cb = b.coefficients(static_cast<Stat>(s));
+        ASSERT_EQ(ca.size(), cb.size());
+        for (std::size_t i = 0; i < ca.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(ca[i]),
+                    std::bit_cast<std::uint64_t>(cb[i]));
+        }
+      }
+    }
+  }
+}
+
+// Counts in model text are bounded before they size anything: an absurd
+// degree or piece count is a parse_error naming the file and line, not
+// an overflow or a huge allocation.
+TEST(Repository, ImplausibleCountsAreParseErrorsNamingTheLine) {
+  const std::string text = ModelRepository::serialize(make_test_model());
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    std::string out = text;
+    out.replace(at, from.size(), to);
+    return out;
+  };
+  const auto line_of = [&](const std::string& needle) {
+    const std::size_t at = text.find(needle);
+    return 1 + std::count(text.begin(), text.begin() + at, '\n');
+  };
+  struct Case {
+    std::string from, to;
+  };
+  for (const Case& c : {Case{"  degree 0", "  degree 40"},
+                        Case{"  degree 0", "  degree -1"},
+                        Case{"  degree 0", "  degree 4294967296"},
+                        Case{"pieces 2", "pieces 100000000000"},
+                        Case{"pieces 2", "pieces 3"},
+                        Case{"dims 2", "dims 4294967298"}}) {
+    try {
+      (void)ModelRepository::deserialize(replaced(c.from, c.to), "m.model");
+      ADD_FAILURE() << c.to << " was accepted";
+    } catch (const parse_error& e) {
+      const std::string what = e.what();
+      if (c.to != "pieces 3") {  // runs out of text further down instead
+        EXPECT_NE(what.find("m.model:" + std::to_string(line_of(c.from)) + ":"),
+                  std::string::npos)
+            << what;
+      }
+    }
+  }
 }
 
 TEST(Fit, FallsBackToLowerDegreeWhenMedianFitGoesNegative) {

@@ -1,18 +1,23 @@
 // Tests for the measurement persistence layer: the SampleStore's on-disk
-// sample journals (round-trip, truncated-tail recovery, heterogeneous
-// key lookup) and the MeasurementScheduler that fulfills step-machine
-// batches from store / in-flight joins / measurement.
+// sample journals (round-trip, truncated-tail and torn-batch recovery,
+// heterogeneous key lookup, the line codec against its iostream oracle)
+// and the MeasurementScheduler that fulfills step-machine batches from
+// store / in-flight joins / measurement.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <random>
+#include <sstream>
 #include <thread>
 
 #include "common/threadpool.hpp"
+#include "reference_codecs.hpp"
 #include "sampler/sample_store.hpp"
 #include "service/measurement_scheduler.hpp"
 
@@ -62,6 +67,37 @@ std::vector<std::vector<index_t>> grid_points(index_t n) {
   std::vector<std::vector<index_t>> points;
   for (index_t i = 0; i < n; ++i) points.push_back({8 + 8 * i, 16 + 8 * i});
   return points;
+}
+
+std::string read_text(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+// The journal a store writes for `points`, in that order.
+std::string expected_journal(const std::vector<std::vector<index_t>>& points) {
+  std::string text = std::string(SampleStore::journal_magic()) + '\n';
+  for (const auto& p : points) {
+    text += SampleStore::format_journal_line(p, stats_for(p));
+  }
+  return text;
+}
+
+// Bitwise equality: tells -0.0 from 0.0, unlike operator==.
+void expect_same_bits(const SampleStats& a, const SampleStats& b) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.min),
+            std::bit_cast<std::uint64_t>(b.min));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.median),
+            std::bit_cast<std::uint64_t>(b.median));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.mean),
+            std::bit_cast<std::uint64_t>(b.mean));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.max),
+            std::bit_cast<std::uint64_t>(b.max));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.stddev),
+            std::bit_cast<std::uint64_t>(b.stddev));
+  EXPECT_EQ(a.count, b.count);
 }
 
 // ---------------------------------------------------------- sample store
@@ -247,6 +283,140 @@ TEST(SampleStore, ConcurrentGetOrMeasureIsCoherent) {
   fs::remove_all(dir);
 }
 
+TEST(SampleStore, BatchInsertJournalsNewFinitePointsInBatchOrder) {
+  const fs::path dir = fresh_dir("dlap_samples_batch");
+  const std::string key = "k";
+  const auto points = grid_points(5);
+  SampleStats poison = stats_for(points[3]);
+  poison.mean = std::numeric_limits<double>::quiet_NaN();
+  SampleStats stale = stats_for(points[0]);
+  stale.median += 1.0;
+  {
+    SampleStore store(dir);
+    store.insert(key, points[1], stats_for(points[1]));
+    // Batch order 4, 0, 1 (already known), 3 (non-finite), 2, 0 again.
+    const std::vector<SampleStore::Measured> batch = {
+        {&points[4], stats_for(points[4])}, {&points[0], stats_for(points[0])},
+        {&points[1], stale},                 {&points[3], poison},
+        {&points[2], stats_for(points[2])}, {&points[0], stale}};
+    store.insert(key, batch);
+    SampleStats got;
+    EXPECT_EQ(store.probe(key, points[0], &got), SampleStore::Origin::Memory);
+    expect_stats_eq(got, stats_for(points[0]));  // first insert wins
+    EXPECT_EQ(store.probe(key, points[1], &got), SampleStore::Origin::Memory);
+    expect_stats_eq(got, stats_for(points[1]));
+    EXPECT_EQ(store.probe(key, points[3], &got), SampleStore::Origin::Memory);
+  }
+  // Newly inserted finite points only, in batch order.
+  EXPECT_EQ(read_text(dir / SampleStore::journal_filename(key)),
+            expected_journal({points[1], points[4], points[0], points[2]}));
+  fs::remove_all(dir);
+}
+
+// ---------------------------------------------------- journal line codec
+
+TEST(JournalCodec, MatchesIostreamOracleBitForBit) {
+  std::mt19937_64 rng(0x5eed0016u);
+  for (int n = 0; n < 20000; ++n) {
+    std::vector<index_t> point(1 + rng() % 8);
+    for (index_t& c : point) c = reference::stress_index(rng);
+    SampleStats stats;
+    stats.min = reference::stress_double(rng);
+    stats.median = reference::stress_double(rng);
+    stats.mean = reference::stress_double(rng);
+    stats.max = reference::stress_double(rng);
+    stats.stddev = reference::stress_double(rng);
+    stats.count = reference::stress_index(rng);
+
+    const std::string line = SampleStore::format_journal_line(point, stats);
+    ASSERT_EQ(line, reference::format_journal_line(point, stats));
+    const std::string body = line.substr(0, line.size() - 1);
+
+    std::vector<index_t> p_new, p_old;
+    SampleStats s_new, s_old;
+    ASSERT_TRUE(SampleStore::parse_journal_line(body, &p_new, &s_new)) << body;
+    ASSERT_TRUE(reference::parse_journal_line(body, &p_old, &s_old)) << body;
+    EXPECT_EQ(p_new, point);
+    EXPECT_EQ(p_old, point);
+    expect_same_bits(s_new, stats);
+    expect_same_bits(s_old, stats);
+  }
+}
+
+// Damaged lines: the from_chars parser may reject a line the iostream
+// oracle reads (a leading '+', an underflowing literal such as 1e-400,
+// text fused to a number or after the count), but it must never accept
+// one the oracle rejects, and what both accept must parse to the same
+// bits.
+TEST(JournalCodec, MutatedLinesAreNeverAcceptedBeyondTheOracle) {
+  std::mt19937_64 rng(0xdead0016u);
+  static const std::string kInserts = " \t+-.e0159x";
+  int both = 0;
+  int stricter = 0;
+  for (int n = 0; n < 20000; ++n) {
+    std::vector<index_t> point(1 + rng() % 3);
+    for (index_t& c : point) c = static_cast<index_t>(rng() % 2048);
+    SampleStats stats;
+    stats.min = reference::stress_double(rng);
+    stats.median = reference::stress_double(rng);
+    stats.mean = reference::stress_double(rng);
+    stats.max = reference::stress_double(rng);
+    stats.stddev = reference::stress_double(rng);
+    stats.count = static_cast<index_t>(rng() % 100);
+    std::string line = SampleStore::format_journal_line(point, stats);
+    line.pop_back();
+
+    for (int m = 1 + static_cast<int>(rng() % 3); m > 0 && !line.empty(); --m) {
+      const std::size_t at = rng() % line.size();
+      switch (rng() % 4) {
+        case 0: line.resize(at); break;  // truncation
+        case 1: line[at] = static_cast<char>(' ' + rng() % 95); break;  // flip
+        case 2: line.insert(at, 1, kInserts[rng() % kInserts.size()]); break;
+        default: line.erase(at, 1); break;
+      }
+    }
+
+    std::vector<index_t> p_new, p_old;
+    SampleStats s_new, s_old;
+    const bool new_ok = SampleStore::parse_journal_line(line, &p_new, &s_new);
+    const bool old_ok = reference::parse_journal_line(line, &p_old, &s_old);
+    if (new_ok) {
+      ASSERT_TRUE(old_ok) << "accepted beyond the oracle: '" << line << "'";
+      EXPECT_EQ(p_new, p_old) << line;
+      expect_same_bits(s_new, s_old);
+      ++both;
+    } else if (old_ok) {
+      ++stricter;
+    }
+  }
+  // The mutations must exercise both outcomes.
+  EXPECT_GT(both, 100);
+  EXPECT_GT(stricter, 100);
+}
+
+TEST(JournalCodec, KnownStricterInputs) {
+  const auto accepts = [](const std::string& line) {
+    std::vector<index_t> point;
+    SampleStats stats;
+    return SampleStore::parse_journal_line(line, &point, &stats);
+  };
+  EXPECT_TRUE(accepts("p 2 8 16 1 2 3 4 5 6"));
+  EXPECT_TRUE(accepts(" p\t2 8 16 1 2 3 4 5 6 \t"));
+  EXPECT_TRUE(accepts("p 1 -8 -0 4.9406564584124654e-324 .5 5. 1e3 7"));
+  EXPECT_FALSE(accepts("p 2 8 16 +1 2 3 4 5 6"));      // leading '+'
+  EXPECT_FALSE(accepts("p 2 8 16 1e-400 2 3 4 5 6"));  // underflow
+  EXPECT_FALSE(accepts("p 2 8 16 1e400 2 3 4 5 6"));   // overflow
+  EXPECT_FALSE(accepts("p 2 8 16 nan 2 3 4 5 6"));
+  EXPECT_FALSE(accepts("p 2 8 16 1 2 3 4 inf 6"));
+  EXPECT_FALSE(accepts("p 2 8 16.5 1 2 3 4 5 6"));     // fused text
+  EXPECT_FALSE(accepts("p 2 8 16 1 2 3 4 5 6.0"));
+  EXPECT_FALSE(accepts("p 2 8 16 1 2 3 4 5 6 7"));     // trailing token
+  EXPECT_FALSE(accepts("p 2 8 16 1 2 3 4 5 6\r"));
+  EXPECT_FALSE(accepts("p 2 8 16 1 2 3 4 5"));         // truncated
+  EXPECT_FALSE(accepts("p 9 1 2 3 4 5 6 7 8 9 1 2 3 4 5 6"));
+  EXPECT_FALSE(accepts("q 2 8 16 1 2 3 4 5 6"));
+}
+
 // ------------------------------------------------- measurement scheduler
 
 TEST(MeasurementScheduler, FulfillsFromStoreThenMeasuresTheRest) {
@@ -353,6 +523,129 @@ TEST(MeasurementScheduler, MeasurementFailureSettlesAllWaiters) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     expect_stats_eq(stats[i], stats_for(points[i]));
   }
+}
+
+TEST(MeasurementScheduler, JournalFollowsBatchOrderNotCompletionOrder) {
+  const fs::path dir = fresh_dir("dlap_sched_batch_order");
+  const auto points = grid_points(8);
+  {
+    SampleStore store(dir);
+    ThreadPool pool(4);
+    MeasurementScheduler scheduler(pool, store);
+    // Later points finish first.
+    const auto reversed = [&](const std::vector<index_t>& point) {
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(2 * (80 - point[0]) / 8));
+      return stats_for(point);
+    };
+    (void)scheduler.fulfill("k", points, reversed,
+                            MeasurementScheduler::Mode::Parallel);
+  }
+  EXPECT_EQ(read_text(dir / SampleStore::journal_filename("k")),
+            expected_journal(points));
+  fs::remove_all(dir);
+}
+
+// A crash while a batch is being written leaves the batch's complete
+// lines plus at most one partial line. For every cut inside the last
+// batch's bytes: replay keeps every complete line, only the points whose
+// lines were cut are measured again, and their re-measurement appends
+// after a clean newline.
+TEST(MeasurementScheduler, TornBatchKeepsCompleteLinesAndRemeasuresTheRest) {
+  const fs::path dir = fresh_dir("dlap_sched_torn_batch");
+  const std::string key = "k";
+  const fs::path journal = dir / SampleStore::journal_filename(key);
+  const auto points = grid_points(7);
+  const std::vector<std::vector<index_t>> first(points.begin(),
+                                                points.begin() + 4);
+  std::size_t batch_start = 0;
+  {
+    SampleStore store(dir);
+    ThreadPool pool(2);
+    MeasurementScheduler scheduler(pool, store);
+    std::atomic<int> calls{0};
+    (void)scheduler.fulfill(key, first, counting_measure(&calls),
+                            MeasurementScheduler::Mode::Parallel);
+    batch_start = fs::file_size(journal);
+    (void)scheduler.fulfill(key, points, counting_measure(&calls),
+                            MeasurementScheduler::Mode::Parallel);
+    EXPECT_EQ(calls.load(), 7);
+  }
+  const std::string full = read_text(journal);
+  ASSERT_EQ(full, expected_journal(points));
+
+  for (std::size_t cut = batch_start; cut < full.size(); ++cut) {
+    {
+      std::ofstream out(journal, std::ios::binary | std::ios::trunc);
+      out << full.substr(0, cut);
+    }
+    // Points of the last batch whose line ends before the cut survive.
+    index_t kept = 4;
+    for (std::size_t nl = full.find('\n', batch_start); nl < cut;
+         nl = full.find('\n', nl + 1)) {
+      ++kept;
+    }
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    {
+      SampleStore store(dir);
+      ThreadPool pool(2);
+      MeasurementScheduler scheduler(pool, store);
+      std::atomic<int> calls{0};
+      FulfillStats fs_out;
+      const auto stats =
+          scheduler.fulfill(key, points, counting_measure(&calls),
+                            MeasurementScheduler::Mode::Parallel, &fs_out);
+      EXPECT_EQ(fs_out.from_disk, kept);
+      EXPECT_EQ(fs_out.measured, 7 - kept);
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        expect_stats_eq(stats[i], stats_for(points[i]));
+      }
+    }
+    // Every line of the mended journal parses, and a third process
+    // finds every point.
+    const std::string mended = read_text(journal);
+    ASSERT_FALSE(mended.empty());
+    EXPECT_EQ(mended.back(), '\n');
+    std::istringstream lines(mended);
+    std::string line;
+    std::getline(lines, line);
+    EXPECT_EQ(line, SampleStore::journal_magic());
+    std::vector<index_t> p;
+    SampleStats st;
+    while (std::getline(lines, line)) {
+      EXPECT_TRUE(SampleStore::parse_journal_line(line, &p, &st)) << line;
+    }
+    SampleStore again(dir);
+    std::atomic<int> calls{0};
+    for (const auto& point : points) {
+      (void)again.get_or_measure(key, point, counting_measure(&calls));
+    }
+    EXPECT_EQ(calls.load(), 0);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(MeasurementScheduler, FailedBatchStillJournalsItsSuccessesInOrder) {
+  const fs::path dir = fresh_dir("dlap_sched_batch_failure");
+  const auto points = grid_points(6);  // contains {24, 32}
+  {
+    SampleStore store(dir);
+    ThreadPool pool(4);
+    MeasurementScheduler scheduler(pool, store);
+    const auto failing = [](const std::vector<index_t>& point) -> SampleStats {
+      if (point[0] == 24) throw std::runtime_error("sensor exploded");
+      return stats_for(point);
+    };
+    EXPECT_THROW((void)scheduler.fulfill("k", points, failing,
+                                         MeasurementScheduler::Mode::Parallel),
+                 std::runtime_error);
+  }
+  // Every successful point of the failed batch was journaled, in order.
+  std::vector<std::vector<index_t>> stored = points;
+  stored.erase(stored.begin() + 2);
+  EXPECT_EQ(read_text(dir / SampleStore::journal_filename("k")),
+            expected_journal(stored));
+  fs::remove_all(dir);
 }
 
 }  // namespace

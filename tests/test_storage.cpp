@@ -4,18 +4,23 @@
 // must always yield a typed container_error, never a crash or silently
 // wrong models. Also covers the storage satellites: repository/journal
 // parse errors naming file and line, deterministic ModelRepository::list
-// ordering, container shadowing, and the compaction lifecycle.
+// ordering, container shadowing, the compaction lifecycle, and
+// byte-reproducible containers from concurrent cold generations.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "common/str.hpp"
 #include "modeler/repository.hpp"
 #include "sampler/sample_store.hpp"
@@ -558,6 +563,62 @@ TEST(Pack, PackRejectsDamagedJournalWithPathAndLine) {
         << e.what();
   }
   EXPECT_FALSE(fs::exists(dir / "out.dlapc"));  // nothing was written
+}
+
+// Two cold generations of the same specs on 4 workers compact to the
+// same bytes. Measurements finish in an order that differs run to run
+// (each point sleeps a point-dependent time on a shared pool), but a
+// journal records each batch in batch order, so each key's sample
+// section -- and the whole container -- does not depend on it.
+TEST(Pack, ColdGenerationsCompactToIdenticalBytes) {
+  const std::vector<OperationSpec> specs = {OperationSpec::trinv(1, 160, 32),
+                                            OperationSpec::sylv(1, 96, 64, 32)};
+  const auto generate_and_compact = [&](const fs::path& dir) {
+    fs::remove_all(dir);
+    {
+      EngineConfig cfg;
+      cfg.service.repository_dir = dir;
+      cfg.service.workers = 4;
+      cfg.service.measure_factory = [](const ModelJob& job) -> MeasureFn {
+        const double offset = static_cast<double>(
+            ModelService::key_for(job).to_string().size());
+        return [offset](const std::vector<index_t>& point) {
+          double cost = 50.0 + offset;
+          index_t mix = 0;
+          for (const index_t x : point) {
+            cost += 3.0 * static_cast<double>(x) +
+                    0.01 * static_cast<double>(x * x);
+            mix = mix * 31 + x;
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(mix % 97));
+          SampleStats s;
+          s.min = cost * 0.9;
+          s.median = cost;
+          s.mean = cost * 1.01;
+          s.max = cost * 1.2;
+          s.stddev = cost * 0.02;
+          s.count = 5;
+          return s;
+        };
+      };
+      Engine engine(std::move(cfg));
+      EXPECT_TRUE(engine.prepare(specs).ok());
+    }
+    (void)storage::compact_repository(dir);
+    std::ifstream in(dir / storage::kContainerFilename, std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    fs::remove_all(dir);
+    return bytes.str();
+  };
+  for (int rep = 0; rep < 3; ++rep) {
+    const std::string a = generate_and_compact(
+        fs::temp_directory_path() / "dlap_test_repro_a");
+    const std::string b = generate_and_compact(
+        fs::temp_directory_path() / "dlap_test_repro_b");
+    ASSERT_FALSE(a.empty());
+    EXPECT_TRUE(a == b) << "repetition " << rep << ": container bytes differ";
+  }
 }
 
 }  // namespace
