@@ -115,9 +115,13 @@ std::vector<Probe> build_probes(Engine& engine) {
   }
 
   // First pass generates every model; the baseline is the SECOND, warm
-  // call. The generation-triggering call can differ from all later
-  // (compiled-trace) evaluations in the last ulp -- the steady-state
-  // render is the value the daemon must reproduce forever after.
+  // call. A first answer can differ from the warm one in the last ulp,
+  // and not because its call generated models: later queries in the mix
+  // share (routine, flags) keys with earlier ones but need wider
+  // domains, so resolve regenerates those keys over region_union, and
+  // the refit moves the earlier queries' answers. After one pass the
+  // domains cover the whole mix and stop growing, so the warm render is
+  // the value the daemon must reproduce forever after.
   for (PredictQuery& query : queries) {
     (void)bench::require_ok(engine.predict(query));
   }

@@ -35,6 +35,25 @@ Status internal_error(const char* where, const std::exception& e) {
                        std::string(where) + ": " + e.what());
 }
 
+/// Reads each point's stored prediction and hands out its stored text,
+/// aliased onto the snapshot pointer moved out of `slots`: the result
+/// keeps the snapshot alive at no extra refcount cost.
+void take_predictions(
+    const std::vector<std::shared_ptr<CompiledSweepPoint>>& points,
+    std::vector<std::shared_ptr<const ResolvedSlots>>* slots,
+    std::vector<Prediction>* predictions,
+    std::vector<std::shared_ptr<const std::string>>* texts) {
+  predictions->reserve(points.size());
+  texts->reserve(points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    std::shared_ptr<const ResolvedSlots>& snap = (*slots)[i];
+    const CompiledTrace& trace = points[i]->trace();
+    predictions->push_back(snap->prediction(trace));
+    const std::string* text = &snap->prediction_json(trace);
+    texts->emplace_back(std::move(snap), text);
+  }
+}
+
 }  // namespace
 
 Engine::Engine(EngineConfig config)
@@ -409,10 +428,7 @@ Result<Ranking> Engine::rank(const RankQuery& query) noexcept {
 
     Ranking out;
     out.candidates = query.candidates;
-    out.predictions.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      out.predictions.push_back(slots[i]->prediction(points[i]->trace()));
-    }
+    take_predictions(points, &slots, &out.predictions, &out.prediction_json);
     out.order = rank_order(out.median_ticks());
     return out;
   } catch (const std::exception& e) {
@@ -461,10 +477,7 @@ Result<TuneResult> Engine::tune(const TuneQuery& query) noexcept {
       return s;
     }
 
-    out.predictions.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      out.predictions.push_back(slots[i]->prediction(points[i]->trace()));
-    }
+    take_predictions(points, &slots, &out.predictions, &out.prediction_json);
     out.best_index = static_cast<index_t>(rank_order(out.median_ticks())[0]);
     return out;
   } catch (const std::exception& e) {

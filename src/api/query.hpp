@@ -10,6 +10,7 @@
 // Each query may name the "system" (backend + memory locality) it asks
 // about; unset, the engine's configured default applies.
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -140,6 +141,11 @@ struct TuneQuery {
 struct Ranking {
   std::vector<OperationSpec> candidates;  ///< echo of the query
   std::vector<Prediction> predictions;    ///< one per candidate, in order
+  /// The wire text of each prediction (write_prediction's bytes), aligned
+  /// with `predictions`: the text its snapshot stored, shared with that
+  /// snapshot, which it keeps alive. The engine fills it; a result built
+  /// by hand may leave it empty, and writers then format `predictions`.
+  std::vector<std::shared_ptr<const std::string>> prediction_json;
   std::vector<index_t> order;             ///< candidate indices, fastest first
 
   /// Index of the predicted-fastest candidate.
@@ -152,6 +158,8 @@ struct Ranking {
 struct TuneResult {
   std::vector<index_t> values;          ///< swept parameter values
   std::vector<Prediction> predictions;  ///< one per value, in order
+  /// Stored wire text per prediction, as Ranking::prediction_json.
+  std::vector<std::shared_ptr<const std::string>> prediction_json;
   index_t best_index = 0;
 
   [[nodiscard]] index_t best_value() const { return values[best_index]; }

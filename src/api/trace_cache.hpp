@@ -17,10 +17,11 @@
 // generation widens any model the version moves on and the snapshot is
 // rebuilt on next use (invalidation-on-regeneration). A prediction is a
 // pure function of the compiled trace and the models, so the snapshot
-// also keeps the Prediction its models imply, computed on first read.
-// The points live in a sharded LRU keyed by SweepPointKey, so a repeated
-// or overlapping sweep skips trace generation, compilation, interning
-// and model evaluation entirely.
+// also keeps the Prediction its models imply and that prediction's wire
+// text (write_prediction), both computed on first read. The points live
+// in a sharded LRU keyed by SweepPointKey, so a repeated or overlapping
+// sweep skips trace generation, compilation, interning, model
+// evaluation and number formatting entirely.
 
 #include <cstdint>
 #include <memory>
@@ -68,7 +69,10 @@ struct SweepPointKeyHash {
 /// stamped with the engine model-cache version it was built against.
 /// `pins[k]` answers keys()[k] and keeps it alive for the snapshot's
 /// lifetime (an engine snapshot has a model for every key); `models` is
-/// the raw-pointer mirror the lock-free predict loop indexes.
+/// the raw-pointer mirror the lock-free predict loop indexes. On first
+/// read the snapshot also stores the prediction those models imply and
+/// its wire text, about 230 bytes; both are immutable from then on and
+/// are discarded with the snapshot.
 struct ResolvedSlots {
   std::uint64_t version = 0;
   std::vector<const RoutineModel*> models;
@@ -85,21 +89,39 @@ struct ResolvedSlots {
   }
 
   /// `trace.predict(models)`, where `trace` is the compiled trace of the
-  /// sweep point this snapshot belongs to. The first reader computes it;
-  /// every later reader, on any thread, gets the same stored value, so a
-  /// cached sweep point answers without evaluating a model. It lives and
-  /// dies with the snapshot: a regeneration or reload, which replaces
-  /// the snapshot, discards it too.
+  /// sweep point this snapshot belongs to. The first reader computes it
+  /// and formats its wire text (prediction_json) in the same one-time
+  /// step; every later reader, on any thread, gets the same stored
+  /// value, so a cached sweep point answers without evaluating a model.
+  /// Both live and die with the snapshot: a regeneration or reload,
+  /// which replaces the snapshot, discards them too.
   [[nodiscard]] const Prediction& prediction(
       const CompiledTrace& trace) const {
-    std::call_once(predicted_,
-                   [&] { prediction_ = trace.predict(models); });
+    compute(trace);
     return prediction_;
   }
 
+  /// write_prediction's text of prediction(trace), about 230 bytes. It
+  /// is immutable once formatted; the api layer hands it out without
+  /// reading it.
+  [[nodiscard]] const std::string& prediction_json(
+      const CompiledTrace& trace) const {
+    compute(trace);
+    return prediction_json_;
+  }
+
  private:
+  void compute(const CompiledTrace& trace) const {
+    std::call_once(predicted_, [&] {
+      prediction_ = trace.predict(models);
+      prediction_json_.clear();  // a throw part-way leaves the flag unset
+      write_prediction(prediction_, &prediction_json_);
+    });
+  }
+
   mutable std::once_flag predicted_;
   mutable Prediction prediction_;
+  mutable std::string prediction_json_;
 };
 
 /// One cached sweep point: the compiled trace, its keys' interned ids

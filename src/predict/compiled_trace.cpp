@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <map>
+#include <string_view>
 #include <utility>
 
+#include "common/number_text.hpp"
 #include "sampler/machine.hpp"
 
 namespace dlap {
@@ -17,6 +19,25 @@ double Prediction::efficiency_median(double total_flops) const {
     return 0.0;
   }
   return efficiency(total_flops, ticks.median);
+}
+
+void write_prediction(const Prediction& p, std::string* out) {
+  // Each key carries the punctuation before it.
+  const auto field = [out](std::string_view key, double v) {
+    out->append(key);
+    append_number(v, out);
+  };
+  field("{\"ticks\":{\"min\":", p.ticks.min);
+  field(",\"median\":", p.ticks.median);
+  field(",\"mean\":", p.ticks.mean);
+  field(",\"max\":", p.ticks.max);
+  field(",\"stddev\":", p.ticks.stddev);
+  field(",\"count\":", static_cast<double>(p.ticks.count));
+  field("},\"flops\":", p.flops);
+  field(",\"calls\":", static_cast<double>(p.calls));
+  field(",\"skipped\":", static_cast<double>(p.skipped));
+  field(",\"missing\":", static_cast<double>(p.missing));
+  out->push_back('}');
 }
 
 CompiledTrace CompiledTrace::compile(const CallTrace& trace) {

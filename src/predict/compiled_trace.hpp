@@ -54,6 +54,15 @@ struct Prediction {
   [[nodiscard]] double efficiency_median(double total_flops) const;
 };
 
+/// Appends the wire text of `p`, the JSON object a dlapd predict answer
+/// is: {"ticks":{"min","median","mean","max","stddev","count"},"flops",
+/// "calls","skipped","missing"}, every number (the integer fields
+/// converted to double) as the text of printf("%.17g"). The one writer
+/// of a Prediction's text: responses and the text each snapshot stores
+/// (api/trace_cache.hpp) both come from it, and it writes exactly the
+/// bytes of server::render_prediction(p).dump().
+void write_prediction(const Prediction& p, std::string* out);
+
 /// One distinct (routine, flags) pair of a compiled trace: the unit of
 /// model resolution. Backend/locality are properties of the query, not
 /// the trace, so a compiled trace is reusable across systems.

@@ -2,8 +2,11 @@
 
 #include <functional>
 #include <initializer_list>
+#include <limits>
+#include <string_view>
 #include <utility>
 
+#include "common/number_text.hpp"
 #include "sampler/calls.hpp"
 
 namespace dlap::server {
@@ -53,6 +56,40 @@ Json render_median_order(const std::vector<index_t>& order) {
   Json out = Json::array();
   for (const index_t i : order) out.push_back(Json::number(i));
   return out;
+}
+
+/// Appends `key`, which carries the punctuation before it, and the text
+/// of `v` as a JSON number: integers print as the double they convert
+/// to, as Json::number(index_t) stores them.
+void write_field(std::string_view key, double v, std::string* out) {
+  out->append(key);
+  append_number(v, out);
+}
+
+void write_indices(const std::vector<index_t>& values, std::string* out) {
+  out->push_back('[');
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i != 0) out->push_back(',');
+    append_number(static_cast<double>(values[i]), out);
+  }
+  out->push_back(']');
+}
+
+/// The predictions array: stored text where the result carries it.
+void write_predictions(
+    const std::vector<Prediction>& predictions,
+    const std::vector<std::shared_ptr<const std::string>>& stored,
+    std::string* out) {
+  out->push_back('[');
+  for (std::size_t i = 0; i < predictions.size(); ++i) {
+    if (i != 0) out->push_back(',');
+    if (i < stored.size() && stored[i] != nullptr) {
+      out->append(*stored[i]);
+    } else {
+      write_prediction(predictions[i], out);
+    }
+  }
+  out->push_back(']');
 }
 
 HttpResponse run_bound(const Status& bound,
@@ -120,6 +157,11 @@ Status bind_spec(const Json& json, const std::string& where,
           bind_int(json, where, "blocksize", 64, &blocksize, field_prefix);
       !s.ok()) {
     return s;
+  }
+  if (variant < std::numeric_limits<int>::min() ||
+      variant > std::numeric_limits<int>::max()) {
+    return field_error(where, field_prefix + "variant",
+                       "integer out of range");
   }
   *out = OperationSpec::of(op->as_string(), static_cast<int>(variant), m, n,
                            blocksize);
@@ -382,6 +424,44 @@ Json render_tune(const TuneResult& result) {
       .set("best_value", Json::number(result.best_value()));
 }
 
+// ---------------------------------------------------------------- writing
+
+void write_spec(const OperationSpec& spec, std::string* out) {
+  out->append("{\"op\":");
+  dump_string(spec.op, out);
+  write_field(",\"variant\":", static_cast<double>(spec.variant), out);
+  write_field(",\"m\":", static_cast<double>(spec.m), out);
+  write_field(",\"n\":", static_cast<double>(spec.n), out);
+  write_field(",\"blocksize\":", static_cast<double>(spec.blocksize), out);
+  out->push_back('}');
+}
+
+void write_ranking(const Ranking& ranking, std::string* out) {
+  out->append("{\"candidates\":[");
+  for (std::size_t i = 0; i < ranking.candidates.size(); ++i) {
+    if (i != 0) out->push_back(',');
+    write_spec(ranking.candidates[i], out);
+  }
+  out->append("],\"predictions\":");
+  write_predictions(ranking.predictions, ranking.prediction_json, out);
+  out->append(",\"order\":");
+  write_indices(ranking.order, out);
+  write_field(",\"best\":", static_cast<double>(ranking.best()), out);
+  out->push_back('}');
+}
+
+void write_tune(const TuneResult& result, std::string* out) {
+  out->append("{\"values\":");
+  write_indices(result.values, out);
+  out->append(",\"predictions\":");
+  write_predictions(result.predictions, result.prediction_json, out);
+  write_field(",\"best_index\":", static_cast<double>(result.best_index),
+              out);
+  write_field(",\"best_value\":", static_cast<double>(result.best_value()),
+              out);
+  out->push_back('}');
+}
+
 // -------------------------------------------------------------- endpoints
 
 HttpResponse handle_predict(Engine& engine, const HttpRequest& request) {
@@ -393,7 +473,9 @@ HttpResponse handle_predict(Engine& engine, const HttpRequest& request) {
   return run_bound(bind_predict(body, &query), [&] {
     const Result<Prediction> result = engine.predict(query);
     if (!result.ok()) return Router::status_response(result.status());
-    return Router::json_response(200, render_prediction(*result));
+    std::string out;
+    write_prediction(*result, &out);
+    return Router::json_response(200, std::move(out));
   });
 }
 
@@ -406,7 +488,9 @@ HttpResponse handle_rank(Engine& engine, const HttpRequest& request) {
   return run_bound(bind_rank(body, &query), [&] {
     const Result<Ranking> result = engine.rank(query);
     if (!result.ok()) return Router::status_response(result.status());
-    return Router::json_response(200, render_ranking(*result));
+    std::string out;
+    write_ranking(*result, &out);
+    return Router::json_response(200, std::move(out));
   });
 }
 
@@ -419,7 +503,9 @@ HttpResponse handle_tune(Engine& engine, const HttpRequest& request) {
   return run_bound(bind_tune(body, &query), [&] {
     const Result<TuneResult> result = engine.tune(query);
     if (!result.ok()) return Router::status_response(result.status());
-    return Router::json_response(200, render_tune(*result));
+    std::string out;
+    write_tune(*result, &out);
+    return Router::json_response(200, std::move(out));
   });
 }
 

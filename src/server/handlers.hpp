@@ -8,6 +8,13 @@
 // kStatusHttpTable -- the server adds no status semantics of its own.
 // The handle_* entry points are pure functions of (Engine, HttpRequest),
 // so they are unit-testable without sockets or a running server.
+//
+// Answers are written straight into the response body by the write_*
+// functions, with no Json tree, and rank/tune answers splice the
+// prediction text their snapshots stored (api/trace_cache.hpp). The
+// render_* functions build the same answers as Json trees; they are the
+// reference the writers are checked against byte for byte, and what
+// callers outside the daemon use to produce expected bodies.
 
 #include <optional>
 #include <string>
@@ -24,7 +31,8 @@ namespace dlap::server {
 
 /// {"op","variant","m","n","blocksize"} -> OperationSpec. Field errors
 /// read "<where>: field '<field_prefix><name>': ..." -- pass
-/// field_prefix "candidates[2]." to name nested fields.
+/// field_prefix "candidates[2]." to name nested fields. A variant outside
+/// the range of int is a field error, never narrowed.
 [[nodiscard]] Status bind_spec(const Json& json, const std::string& where,
                                const std::string& field_prefix,
                                OperationSpec* out);
@@ -61,9 +69,20 @@ namespace dlap::server {
 [[nodiscard]] Json render_ranking(const Ranking& ranking);
 [[nodiscard]] Json render_tune(const TuneResult& result);
 
+// --------------------------------------------------------------- writing
+//
+// Each appends exactly the bytes of the matching render_*(...).dump().
+// write_prediction lives next to Prediction (predict/compiled_trace.hpp).
+// write_ranking and write_tune splice `prediction_json` where the result
+// carries it and format `predictions` otherwise.
+
+void write_spec(const OperationSpec& spec, std::string* out);
+void write_ranking(const Ranking& ranking, std::string* out);
+void write_tune(const TuneResult& result, std::string* out);
+
 // ------------------------------------------------------------- endpoints
 
-/// POST /v1/predict: parse + bind + Engine::predict + render. All three
+/// POST /v1/predict: parse + bind + Engine::predict + write. All three
 /// never throw: malformed JSON is a 400, binding errors carry the field
 /// name, engine failures map through kStatusHttpTable.
 [[nodiscard]] HttpResponse handle_predict(Engine& engine,

@@ -226,31 +226,6 @@ struct Reader {
   }
 };
 
-void dump_string(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\b': *out += "\\b"; break;
-      case '\f': *out += "\\f"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void dump_value(const Json& v, std::string* out) {
   switch (v.type()) {
     case Json::Type::Null: *out += "null"; break;
@@ -283,6 +258,31 @@ void dump_value(const Json& v, std::string* out) {
 }
 
 }  // namespace
+
+void dump_string(std::string_view s, std::string* out) {
+  out->push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\b': *out += "\\b"; break;
+      case '\f': *out += "\\f"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
 
 Json Json::boolean(bool v) {
   Json j;

@@ -7,10 +7,12 @@
 // variant-style value. Numbers are IEEE doubles written as the exact
 // text of printf("%.17g") (common/number_text.hpp), which round-trips
 // bit-exactly -- the server's "responses bit-identical to in-process
-// Engine calls" gate rides on that. Parse errors throw dlap::parse_error
-// naming the byte offset; binding errors (wrong type, missing field) are
-// produced by the handler layer, which names the field
-// (server/handlers.hpp).
+// Engine calls" gate rides on that. dump_string is the one string
+// escaper: Json::dump and the direct response writers
+// (server/handlers.hpp) both use it. Parse errors throw
+// dlap::parse_error naming the byte offset; binding errors (wrong type,
+// missing field) are produced by the handler layer, which names the
+// field (server/handlers.hpp).
 
 #include <cstddef>
 #include <string>
@@ -21,6 +23,12 @@
 #include "common/types.hpp"
 
 namespace dlap::server {
+
+/// Appends `s` as a JSON string literal: in quotes, with '"' and '\\'
+/// backslash-escaped, the control bytes below 0x20 written as \b \f \n
+/// \r \t or \u00xx (lowercase hex), and every other byte, UTF-8
+/// included, as is.
+void dump_string(std::string_view s, std::string* out);
 
 class Json {
  public:

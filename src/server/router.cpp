@@ -51,12 +51,16 @@ HttpResponse Router::status_response(const Status& status) {
                         status_code_name(status.code), status.message);
 }
 
-HttpResponse Router::json_response(int http_status, const Json& body) {
+HttpResponse Router::json_response(int http_status, std::string body) {
   HttpResponse response;
   response.status = http_status;
   response.set_header("Content-Type", "application/json");
-  response.body = body.dump();
+  response.body = std::move(body);
   return response;
+}
+
+HttpResponse Router::json_response(int http_status, const Json& body) {
+  return json_response(http_status, body.dump());
 }
 
 }  // namespace dlap::server

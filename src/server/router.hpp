@@ -38,7 +38,12 @@ class Router {
   /// kStatusHttpTable (code name and HTTP status both derived from it).
   [[nodiscard]] static HttpResponse status_response(const Status& status);
 
-  /// 2xx JSON response.
+  /// JSON response with Content-Type set; `body` is the JSON text.
+  [[nodiscard]] static HttpResponse json_response(int http_status,
+                                                  std::string body);
+
+  /// json_response over body.dump(), for the cold paths (errors, stats,
+  /// reload) that build a Json tree.
   [[nodiscard]] static HttpResponse json_response(int http_status,
                                                   const Json& body);
 

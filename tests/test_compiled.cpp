@@ -1,7 +1,8 @@
 // Tests for the compiled-prediction subsystem: CompiledTrace dedupe +
 // bit-identity with the reference per-call loop, the PiecewiseModel region
 // index vs the reference linear scan, the sharded trace LRU, and the
-// engine's snapshot invalidation-on-regeneration semantics.
+// engine's snapshot invalidation-on-regeneration semantics, including
+// the prediction and wire text each snapshot stores.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +11,9 @@
 #include <filesystem>
 #include <latch>
 #include <limits>
+#include <memory>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -193,6 +196,49 @@ TEST(CompiledTrace, PredictRequiresOneSlotPerKey) {
   const CompiledTrace compiled =
       CompiledTrace::compile(trace_trinv(1, 128, 64));
   EXPECT_THROW((void)compiled.predict({}), invalid_argument_error);
+}
+
+TEST(ResolvedSlots, RacingFirstReadersShareOneFormattedText) {
+  const CompiledTrace compiled =
+      CompiledTrace::compile(trace_sylv(6, 192, 160, 48));
+  ResolvedSlots slots;
+  slots.assign(compiled.keys().size(), 1);
+  for (std::size_t k = 0; k < compiled.keys().size(); ++k) {
+    const CompiledKey& key = compiled.keys()[k];
+    const std::uint32_t first = compiled.entries_of(static_cast<int>(k))[0];
+    const auto dims =
+        static_cast<int>(compiled.entries()[first].sizes.size());
+    slots.set(k, std::make_shared<const RoutineModel>(fitted_model(
+                     routine_name(key.routine), key.flags, dims)));
+  }
+  std::string expected;
+  write_prediction(compiled.predict(slots.models), &expected);
+
+  // Eight threads race on the snapshot's first read. The text is
+  // appended, so a second formatting would show as doubled bytes (and
+  // as a race under TSan); every thread must see the one stored string.
+  constexpr int kThreads = 8;
+  std::vector<const std::string*> seen(kThreads, nullptr);
+  std::vector<std::string> copies(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      const std::string& text = slots.prediction_json(compiled);
+      seen[static_cast<std::size_t>(i)] = &text;
+      copies[static_cast<std::size_t>(i)] = text;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)], seen[0]);
+    EXPECT_EQ(copies[static_cast<std::size_t>(i)], expected);
+  }
+  // The stored prediction is the one the text was formatted from.
+  std::string again;
+  write_prediction(slots.prediction(compiled), &again);
+  EXPECT_EQ(again, expected);
 }
 
 // ------------------------------------------------------------ region index
@@ -452,6 +498,15 @@ TEST(EngineCompiled, RepeatedSweepHitsTraceCache) {
   for (std::size_t i = 0; i < first->predictions.size(); ++i) {
     expect_identical(first->predictions[i], second->predictions[i]);
   }
+  // Once the snapshots settle, a repeat shares their stored text: the
+  // same strings, not new ones formatted again.
+  const auto warm = t.engine.rank(query);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm->prediction_json.size(), second->prediction_json.size());
+  for (std::size_t i = 0; i < warm->prediction_json.size(); ++i) {
+    EXPECT_EQ(warm->prediction_json[i].get(),
+              second->prediction_json[i].get());
+  }
   t.engine.clear_trace_cache();
   EXPECT_EQ(t.engine.trace_cache_stats().size, 0u);
   const auto third = t.engine.rank(query);  // recompiles, same answers
@@ -497,12 +552,26 @@ TEST(EngineCompiled, CachedSweepInvalidatedOnModelRegeneration) {
   expect_identical(*after, repository_reference(t.engine, small));
 }
 
+/// The engine hands out one stored text per prediction, and each is that
+/// prediction's write_prediction text.
+void expect_stored_text(const Ranking& r) {
+  ASSERT_EQ(r.prediction_json.size(), r.predictions.size());
+  for (std::size_t i = 0; i < r.predictions.size(); ++i) {
+    ASSERT_NE(r.prediction_json[i], nullptr);
+    std::string text;
+    write_prediction(r.predictions[i], &text);
+    EXPECT_EQ(*r.prediction_json[i], text);
+  }
+}
+
 void expect_identical(const Ranking& a, const Ranking& b) {
   ASSERT_EQ(a.predictions.size(), b.predictions.size());
   for (std::size_t i = 0; i < a.predictions.size(); ++i) {
     expect_identical(a.predictions[i], b.predictions[i]);
   }
   EXPECT_EQ(a.order, b.order);
+  expect_stored_text(a);
+  expect_stored_text(b);
 }
 
 TEST(EngineCompiled, ConcurrentFirstRankMatchesSequentialEngine) {
@@ -599,6 +668,7 @@ TEST(EngineCompiled, ReloadedContainerReplacesStoredPredictions) {
   expect_identical(*after, *expected);
   EXPECT_NE(after->predictions[0].ticks.median,
             before->predictions[0].ticks.median);  // the models differ
+  EXPECT_NE(*after->prediction_json[0], *before->prediction_json[0]);
 }
 
 TEST(EngineCompiled, SpecAndEquivalentRawTraceAgree) {

@@ -1,6 +1,7 @@
 // Tests for the dlapd server layer (src/server/): HTTP codec, JSON
 // parsing, the Status -> HTTP mapping table, router dispatch, request
-// binding with field-level errors, admission control (token-bucket rate
+// binding with field-level errors, the direct response writers against
+// the reference Json renders, admission control (token-bucket rate
 // limiter and bounded queue -- both under an injected fake clock, no
 // sleeps), and a real loopback dlapd::Server: bit-identical responses
 // versus direct Engine calls, deterministic overload shedding, hot model
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "api/engine.hpp"
+#include "reference_codecs.hpp"
 #include "server/admission.hpp"
 #include "server/client.hpp"
 #include "server/handlers.hpp"
@@ -336,6 +338,50 @@ TEST(Json, ObjectKeepsInsertionOrder) {
   EXPECT_EQ(v.dump(), "{\"z\":3,\"a\":2}");
 }
 
+/// The escaped text of one byte inside a JSON string, as the wire format
+/// defines it.
+std::string expected_escape(unsigned char c) {
+  switch (c) {
+    case '"': return "\\\"";
+    case '\\': return "\\\\";
+    case '\b': return "\\b";
+    case '\f': return "\\f";
+    case '\n': return "\\n";
+    case '\r': return "\\r";
+    case '\t': return "\\t";
+    default:
+      if (c < 0x20) {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
+        return buf;
+      }
+      return std::string(1, static_cast<char>(c));
+  }
+}
+
+TEST(Json, StringEscaperPinsEveryByte) {
+  // Each byte 0x01-0xFF between two plain ones, then all of them in one
+  // string appended after existing text.
+  std::string all;
+  std::string all_expected = "\"";
+  for (unsigned b = 0x01; b <= 0xFF; ++b) {
+    const auto c = static_cast<unsigned char>(b);
+    const std::string text = std::string("a") + static_cast<char>(c) + "z";
+    std::string written;
+    dump_string(text, &written);
+    EXPECT_EQ(written, "\"a" + expected_escape(c) + "z\"") << b;
+    EXPECT_EQ(Json::string(text).dump(), written) << b;
+    EXPECT_EQ(Json::parse(written).as_string(), text) << b;
+    all.push_back(static_cast<char>(c));
+    all_expected += expected_escape(c);
+  }
+  all_expected += '"';
+  std::string written = "prefix";
+  dump_string(all, &written);
+  EXPECT_EQ(written, "prefix" + all_expected);
+  EXPECT_EQ(Json::parse(all_expected).as_string(), all);
+}
+
 // ----------------------------------------------- Status -> HTTP mapping
 
 TEST(StatusHttp, TableIsTotalAndRoundTrips) {
@@ -473,6 +519,10 @@ TEST(Binding, EveryPredictFieldErrorNamesTheField) {
       {"{\"op\":\"chol\",\"n\":2.5}", "'n'"},
       {"{\"op\":\"chol\",\"m\":true}", "'m'"},
       {"{\"op\":\"chol\",\"blocksize\":[]}", "'blocksize'"},
+      {"{\"op\":\"trinv\",\"variant\":4294967297,\"n\":64,"
+       "\"blocksize\":16}",
+       "'variant'"},
+      {"{\"op\":\"trinv\",\"variant\":-2147483649,\"n\":64}", "'variant'"},
       {"{\"op\":\"chol\",\"blocksise\":64}", "'blocksise'"},
       {"{\"op\":\"chol\",\"n\":128,\"calls\":[\"x\"]}", "'calls'"},
       {"{\"calls\":[]}", "'calls'"},
@@ -507,6 +557,15 @@ TEST(Binding, RankErrorsNameNestedCandidateFields) {
   EXPECT_EQ(nested.code, StatusCode::ParseError);
   EXPECT_NE(nested.message.find("'candidates[1].n'"), std::string::npos)
       << nested.message;
+  // A variant beyond int is refused, not narrowed (2^32 + 1 would
+  // otherwise bind as variant 1).
+  const Status wide = bind_rank(
+      Json::parse("{\"candidates\":[{\"op\":\"trinv\",\"n\":64},"
+                  "{\"op\":\"trinv\",\"variant\":4294967297,\"n\":64}]}"),
+      &query);
+  EXPECT_EQ(wide.code, StatusCode::ParseError);
+  EXPECT_NE(wide.message.find("'candidates[1].variant'"), std::string::npos)
+      << wide.message;
 
   ASSERT_TRUE(bind_rank(Json::parse("{\"candidates\":[{\"op\":\"trinv\","
                                     "\"n\":64},{\"op\":\"trinv\",\"n\":64,"
@@ -562,6 +621,103 @@ TEST(Binding, ReloadBindsSpecListAndNamesNestedErrors) {
   EXPECT_EQ(bad.code, StatusCode::ParseError);
   EXPECT_NE(bad.message.find("'specs[0].variant'"), std::string::npos)
       << bad.message;
+}
+
+// --------------------------------- direct writers vs the reference renders
+
+/// An op string with the bytes an escaper can get wrong: quotes,
+/// backslashes, control bytes, DEL, UTF-8 sequences and raw high bytes.
+std::string stress_op(std::mt19937_64& rng) {
+  static constexpr const char* kPieces[] = {
+      "trinv", "a", "/", "\\u0000",      // plain text
+      "\"", "\\",                        // escaped as such
+      "\x01", "\x1f", "\b", "\n", "\t",  // control bytes
+      "\x7f", "\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x98\x80"};  // DEL, UTF-8
+  std::string op;
+  const std::size_t pieces = rng() % 8;
+  for (std::size_t i = 0; i < pieces; ++i) {
+    if (rng() % 4 == 0) {
+      op.push_back(static_cast<char>(1 + rng() % 255));
+    } else {
+      op += kPieces[rng() % std::size(kPieces)];
+    }
+  }
+  return op;
+}
+
+Prediction stress_prediction(std::mt19937_64& rng) {
+  Prediction p;
+  p.ticks.min = reference::stress_double(rng);
+  p.ticks.median = reference::stress_double(rng);
+  p.ticks.mean = reference::stress_double(rng);
+  p.ticks.max = reference::stress_double(rng);
+  p.ticks.stddev = reference::stress_double(rng);
+  p.ticks.count = reference::stress_index(rng);
+  p.flops = reference::stress_double(rng);
+  p.calls = reference::stress_index(rng);
+  p.skipped = reference::stress_index(rng);
+  p.missing = reference::stress_index(rng);
+  return p;
+}
+
+/// Stored text for `predictions`: none, all of it, or some entries
+/// missing (null or beyond the end), chosen by `mode`.
+std::vector<std::shared_ptr<const std::string>> stored_text(
+    const std::vector<Prediction>& predictions, std::uint64_t mode,
+    std::mt19937_64& rng) {
+  std::vector<std::shared_ptr<const std::string>> stored;
+  if (mode == 0) return stored;
+  for (const Prediction& p : predictions) {
+    stored.push_back(mode == 2 && rng() % 3 == 0
+                         ? nullptr
+                         : std::make_shared<const std::string>(
+                               render_prediction(p).dump()));
+  }
+  if (mode == 2 && rng() % 2 == 0) stored.pop_back();
+  return stored;
+}
+
+/// `write` appended to a non-empty buffer must add exactly `expected`.
+template <class Write>
+void expect_appends(const Write& write, const std::string& expected) {
+  std::string out = "[prefix]";
+  write(&out);
+  ASSERT_EQ(out, "[prefix]" + expected);
+}
+
+TEST(Writers, ByteIdenticalToReferenceRenders) {
+  std::mt19937_64 rng(20260417);
+  for (int round = 0; round < 2000; ++round) {
+    const Prediction p = stress_prediction(rng);
+    expect_appends([&](std::string* out) { write_prediction(p, out); },
+                   render_prediction(p).dump());
+
+    const std::size_t entries = 1 + rng() % 16;
+    Ranking ranking;
+    TuneResult tune;
+    for (std::size_t i = 0; i < entries; ++i) {
+      OperationSpec spec;
+      spec.op = stress_op(rng);
+      spec.variant = static_cast<int>(reference::stress_index(rng));
+      spec.m = reference::stress_index(rng);
+      spec.n = reference::stress_index(rng);
+      spec.blocksize = reference::stress_index(rng);
+      expect_appends([&](std::string* out) { write_spec(spec, out); },
+                     render_spec(spec).dump());
+      ranking.candidates.push_back(std::move(spec));
+      ranking.predictions.push_back(stress_prediction(rng));
+      ranking.order.push_back(reference::stress_index(rng));
+      tune.values.push_back(reference::stress_index(rng));
+      tune.predictions.push_back(stress_prediction(rng));
+    }
+    ranking.prediction_json = stored_text(ranking.predictions, rng() % 3, rng);
+    tune.prediction_json = stored_text(tune.predictions, rng() % 3, rng);
+    tune.best_index = static_cast<index_t>(rng() % entries);
+    expect_appends([&](std::string* out) { write_ranking(ranking, out); },
+                   render_ranking(ranking).dump());
+    expect_appends([&](std::string* out) { write_tune(tune, out); },
+                   render_tune(tune).dump());
+  }
 }
 
 // ------------------------------------- admission control, injected clock
@@ -843,6 +999,14 @@ TEST(ServerLoopback, RankAndTuneEndpointsAnswer) {
   EXPECT_EQ(ranking.find("order")->size(), 2u);
   ASSERT_NE(ranking.find("best"), nullptr);
 
+  // Bit-identity for rank: the spliced stored text equals the render.
+  RankQuery rank_query;
+  rank_query.candidates = {OperationSpec::trinv(1, 64, 16),
+                           OperationSpec::trinv(2, 64, 16)};
+  const Result<Ranking> direct_rank = t.engine.rank(rank_query);
+  ASSERT_TRUE(direct_rank.ok());
+  EXPECT_EQ(rank->body, render_ranking(*direct_rank).dump());
+
   const auto tune = client.request(
       "POST", "/v1/tune",
       "{\"op\":\"chol\",\"n\":96,\"lo\":16,\"hi\":48,\"step\":16}");
@@ -887,6 +1051,16 @@ TEST(ServerLoopback, ErrorStatusesMapThroughTheTable) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, 400);
   EXPECT_NE(response->body.find("'op'"), std::string::npos);
+
+  // A variant beyond int -> 400 naming the field, not variant 1.
+  response = client.request("POST", "/v1/predict",
+                            "{\"op\":\"trinv\",\"variant\":4294967297,"
+                            "\"n\":64,\"blocksize\":16}");
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 400);
+  EXPECT_NE(response->body.find("PARSE_ERROR"), std::string::npos);
+  EXPECT_NE(response->body.find("'variant'"), std::string::npos)
+      << response->body;
 
   // Invalid variant -> 422 INVALID_QUERY.
   response = client.request("POST", "/v1/predict",
@@ -1323,6 +1497,87 @@ TEST(ServerLoopback, ReloadPicksUpCompactedContainer) {
       t.engine.predict(PredictQuery::of(OperationSpec::trinv(1, 80, 16)));
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(after->body, render_prediction(*direct).dump());
+  server.stop();
+}
+
+/// Generates the models `specs` need into `dir` (a temp-directory child)
+/// from measurements offset by `offset`, then compacts them into the
+/// directory's container.
+void write_container_repository(const fs::path& dir, double offset,
+                                const std::vector<OperationSpec>& specs) {
+  fs::remove_all(dir);
+  {
+    EngineConfig cfg = engine_config(dir.filename().string());
+    cfg.service.measure_factory = [offset](const ModelJob&) {
+      return synthetic_measure(offset);
+    };
+    Engine engine(std::move(cfg));
+    ASSERT_TRUE(engine.prepare(specs).ok());
+  }
+  (void)storage::compact_repository(dir);
+}
+
+TEST(ServerLoopback, ReloadReplacesStoredRankText) {
+  const RankQuery query = RankQuery::trinv_variants(96, 32);
+  std::string body = "{\"candidates\":[";
+  for (std::size_t i = 0; i < query.candidates.size(); ++i) {
+    if (i != 0) body += ',';
+    write_spec(query.candidates[i], &body);
+  }
+  body += "]}";
+  const fs::path old_repo =
+      fs::temp_directory_path() / "dlapd_test_text_old";
+  const fs::path new_repo =
+      fs::temp_directory_path() / "dlapd_test_text_new";
+  const TempEngine::Cleanup old_cleanup{old_repo};
+  const TempEngine::Cleanup new_cleanup{new_repo};
+  ASSERT_NO_FATAL_FAILURE(
+      write_container_repository(old_repo, 0.0, query.candidates));
+  ASSERT_NO_FATAL_FAILURE(
+      write_container_repository(new_repo, 5000.0, query.candidates));
+
+  EngineConfig cfg = engine_config("dlapd_test_text_live");
+  cfg.generate_missing = false;
+  TempEngine t("dlapd_test_text_live", cfg);
+  fs::create_directories(t.dir);
+  const fs::path live = t.dir / storage::kContainerFilename;
+  fs::copy_file(old_repo / storage::kContainerFilename, live);
+  ASSERT_TRUE(t.engine.reload().ok());
+  Server server(t.engine, ServerConfig{});
+  ASSERT_TRUE(server.start().ok());
+  HttpClient client("127.0.0.1", server.port());
+
+  // The second rank is answered from the snapshots' stored text.
+  const auto before = client.request("POST", "/v1/rank", body);
+  ASSERT_TRUE(before.has_value());
+  ASSERT_EQ(before->status, 200) << before->body;
+  const auto warm = client.request("POST", "/v1/rank", body);
+  ASSERT_TRUE(warm.has_value());
+  EXPECT_EQ(warm->body, before->body);
+
+  // Swap in a container with different models, the way compaction
+  // publishes one, and reload through the daemon.
+  const fs::path next = t.dir / "next.dlapc";
+  fs::copy_file(new_repo / storage::kContainerFilename, next);
+  fs::rename(next, live);
+  ASSERT_EQ(client.request("POST", "/v1/admin/reload", "{}")->status, 202);
+  ASSERT_TRUE(
+      eventually([&] { return server.stats().reloads_completed == 1; }));
+
+  const auto after = client.request("POST", "/v1/rank", body);
+  ASSERT_TRUE(after.has_value());
+  ASSERT_EQ(after->status, 200) << after->body;
+  Engine fresh(cfg);
+  const Result<Ranking> expected = fresh.rank(query);
+  ASSERT_TRUE(expected.ok()) << expected.status().to_string();
+  EXPECT_EQ(after->body, render_ranking(*expected).dump());
+  // No prediction text of the old models survives the reload.
+  const Json old_predictions = *Json::parse(before->body).find("predictions");
+  for (std::size_t i = 0; i < old_predictions.size(); ++i) {
+    EXPECT_EQ(after->body.find(old_predictions.at(i).dump()),
+              std::string::npos)
+        << i;
+  }
   server.stop();
 }
 
