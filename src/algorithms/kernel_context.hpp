@@ -3,10 +3,13 @@
 //
 // The paper predicts an algorithm's performance "by analyzing its sequence
 // of subroutine invocations" (Section IV). To make that analysis exact, our
-// blocked algorithms are written once against this interface; an
-// ExecContext dispatches into a real BLAS backend, while the predictor's
-// TraceContext (predict/trace.hpp) records a KernelCall per invocation
-// without touching operand memory.
+// blocked algorithms are written once against this interface. An
+// ExecContext dispatches into a real BLAS backend. Two recording contexts
+// never touch operand memory: TraceContext (predict/trace.hpp) records a
+// KernelCall per invocation, and CompilingContext
+// (predict/compiled_trace.hpp) dedupes the invocations into a
+// CompiledTrace as they are issued. A new kernel is a virtual here and an
+// override in all three.
 
 #include "blas/backend.hpp"
 #include "common/types.hpp"
@@ -16,6 +19,10 @@ namespace dlap {
 class KernelContext {
  public:
   virtual ~KernelContext() = default;
+
+  /// Capacity hint: about `calls` kernel calls follow. The recording
+  /// contexts reserve their storage from it; executing ignores it.
+  virtual void reserve(index_t calls) { (void)calls; }
 
   /// C <- alpha op(A) op(B) + beta C.
   virtual void gemm(Trans transa, Trans transb, index_t m, index_t n,

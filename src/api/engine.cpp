@@ -104,9 +104,8 @@ Engine::PlanFn Engine::spec_plan(std::vector<OperationSpec> specs,
 
 // ------------------------------------------------------------ compilation
 
-std::shared_ptr<CompiledSweepPoint> Engine::compile_trace(
-    const CallTrace& trace, const SystemSpec& system) {
-  CompiledTrace compiled = CompiledTrace::compile(trace);
+std::shared_ptr<CompiledSweepPoint> Engine::make_point(
+    CompiledTrace compiled, const SystemSpec& system) {
   std::vector<int> ids;
   ids.reserve(compiled.keys().size());
   for (const CompiledKey& key : compiled.keys()) {
@@ -121,11 +120,13 @@ std::shared_ptr<CompiledSweepPoint> Engine::compile_trace(
 }
 
 std::shared_ptr<CompiledSweepPoint> Engine::compile_spec(
-    const OperationSpec& spec, const SystemSpec& system) {
-  const SweepPointKey key{spec.op,        spec.variant,   spec.m, spec.n,
+    const OperationSpec& spec, const OperationDescriptor& family,
+    const SystemSpec& system) {
+  const index_t m = family.size_axes >= 2 ? spec.m : 0;
+  const SweepPointKey key{spec.op,        spec.variant,   m, spec.n,
                           spec.blocksize, system.backend, system.locality};
   if (auto hit = trace_cache_.find(key)) return hit;
-  auto point = compile_trace(spec.trace(), system);
+  auto point = make_point(spec.compile(), system);
   trace_cache_.insert(key, point);
   return point;
 }
@@ -382,11 +383,12 @@ Result<Prediction> Engine::predict(const PredictQuery& query) noexcept {
     std::shared_ptr<CompiledSweepPoint> point;
     PlanFn plan;
     if (query.spec.has_value()) {
-      if (Status s = query.spec->validate(); !s.ok()) return s;
-      point = compile_spec(*query.spec, system);
+      const OperationDescriptor* family = nullptr;
+      if (Status s = query.spec->validate(&family); !s.ok()) return s;
+      point = compile_spec(*query.spec, *family, system);
       plan = spec_plan({*query.spec}, system);
     } else {
-      point = compile_trace(query.trace, system);
+      point = make_point(CompiledTrace::compile(query.trace), system);
       plan = [trace = &query.trace, system, policy = config_.planning] {
         return plan_jobs(*trace, system, policy);
       };
@@ -412,8 +414,9 @@ Result<Ranking> Engine::rank(const RankQuery& query) noexcept {
     std::vector<std::shared_ptr<CompiledSweepPoint>> points;
     points.reserve(query.candidates.size());
     for (const OperationSpec& spec : query.candidates) {
-      if (Status s = spec.validate(); !s.ok()) return s;
-      points.push_back(compile_spec(spec, system));
+      const OperationDescriptor* family = nullptr;
+      if (Status s = spec.validate(&family); !s.ok()) return s;
+      points.push_back(compile_spec(spec, *family, system));
     }
     std::vector<const CompiledSweepPoint*> ptrs;
     ptrs.reserve(points.size());
@@ -462,9 +465,10 @@ Result<TuneResult> Engine::tune(const TuneQuery& query) noexcept {
     for (index_t i = 0; i < count; ++i) {
       OperationSpec spec = query.spec;
       spec.blocksize = query.lo + i * query.step;
-      if (Status s = spec.validate(); !s.ok()) return s;
+      const OperationDescriptor* family = nullptr;
+      if (Status s = spec.validate(&family); !s.ok()) return s;
       out.values.push_back(spec.blocksize);
-      points.push_back(compile_spec(spec, system));
+      points.push_back(compile_spec(spec, *family, system));
       specs.push_back(std::move(spec));
     }
     std::vector<const CompiledSweepPoint*> ptrs;
@@ -562,8 +566,9 @@ Status Engine::prepare(const std::vector<OperationSpec>& specs,
     std::vector<std::shared_ptr<CompiledSweepPoint>> points;
     points.reserve(specs.size());
     for (const OperationSpec& spec : specs) {
-      if (Status s = spec.validate(); !s.ok()) return s;
-      points.push_back(compile_spec(spec, sys));
+      const OperationDescriptor* family = nullptr;
+      if (Status s = spec.validate(&family); !s.ok()) return s;
+      points.push_back(compile_spec(spec, *family, sys));
     }
     std::vector<const CompiledSweepPoint*> ptrs;
     ptrs.reserve(points.size());
@@ -633,6 +638,14 @@ Status Engine::reload(const std::vector<OperationSpec>& specs,
       // re-resolves against the reloaded repository.
       model_version_.fetch_add(1, std::memory_order_acq_rel);
     }
+    // The expired snapshots would pin the previous models until their
+    // point is queried again or evicted. Take them out of the cached
+    // points, and free them after the shard and point locks are dropped.
+    std::vector<std::shared_ptr<const ResolvedSlots>> expired;
+    trace_cache_.for_each([&expired](const CompiledSweepPoint& point) {
+      if (auto slots = point.take_slots()) expired.push_back(std::move(slots));
+    });
+    expired.clear();
     if (!specs.empty()) return prepare(specs, system, report);
     return {};
   } catch (const std::exception& e) {

@@ -7,7 +7,7 @@
 // What the facade adds over wiring the pipeline by hand:
 //   - typed queries: callers say *what they want decided* (an operation
 //     spec, a candidate set, a swept parameter); specs are validated and
-//     traced through the OperationRegistry (src/ops/registry.hpp), the
+//     compiled through the OperationRegistry (src/ops/registry.hpp), the
 //     engine derives the modeling jobs (per-family domain planners,
 //     falling back to trace-driven planning in api/plan.hpp) and
 //     generates missing models on demand through its ModelService;
@@ -20,10 +20,12 @@
 //   - the compiled sweep path: every query point is compiled to a
 //     CompiledTrace (deduped calls, predict/compiled_trace.hpp) with its
 //     resolver keys interned to dense ids (api/intern.hpp) and its models
-//     held in a versioned slot snapshot; compiled points are cached in a
-//     sharded LRU keyed by (family, variant, sizes, blocksize, system)
-//     (api/trace_cache.hpp), so a repeated or overlapping sweep skips
-//     trace generation, compilation, interning and model resolution. A
+//     held in a versioned slot snapshot. A spec compiles as its blocked
+//     algorithm runs (OperationSpec::compile), with no CallTrace built;
+//     compiled points are cached in a sharded LRU keyed by (family,
+//     variant, sizes, blocksize, system) (api/trace_cache.hpp), so a
+//     repeated or overlapping sweep skips compilation, interning and
+//     model resolution. A
 //     slot snapshot also keeps the prediction its models imply, computed
 //     on first read by evaluating each model once per unique call, so a
 //     repeated point evaluates no model at all.
@@ -178,9 +180,12 @@ class Engine {
 
   /// Hot model reload, the dlapd admin path: re-attaches the service's
   /// binary container (picking up a repository.dlapc replaced on disk),
-  /// drops the engine's model cache and expires every compiled-trace
-  /// snapshot (version bump), then -- when `specs` is non-empty --
-  /// regenerates/loads the models those specs need (Engine::prepare).
+  /// drops the engine's model cache, expires every compiled-trace
+  /// snapshot (version bump) and releases the snapshots the cached sweep
+  /// points hold, so the previous models (and the container mapping they
+  /// borrow from) are freed once no in-flight answer holds them; the
+  /// compiled traces stay cached. Then -- when `specs` is non-empty --
+  /// it regenerates/loads the models those specs need (Engine::prepare).
   /// Concurrent queries are never stalled: in-flight predictions finish
   /// on the model snapshots they pinned, later queries re-resolve from
   /// the reloaded repository. A query racing the reload may briefly
@@ -218,15 +223,17 @@ class Engine {
     return override_spec.value_or(config_.system);
   }
 
-  /// Compiles a raw trace into an (uncached) sweep point: dedupe the
-  /// calls, intern the resolver keys under `system`.
-  [[nodiscard]] std::shared_ptr<CompiledSweepPoint> compile_trace(
-      const CallTrace& trace, const SystemSpec& system);
+  /// An (uncached) sweep point of a compiled trace: its resolver keys
+  /// interned under `system`.
+  [[nodiscard]] std::shared_ptr<CompiledSweepPoint> make_point(
+      CompiledTrace compiled, const SystemSpec& system);
 
-  /// Cached compilation of a validated spec: trace-cache lookup, or
-  /// trace + compile + intern + insert on a miss.
+  /// Cached compilation of a spec validated against `family`: trace-cache
+  /// lookup, or spec.compile() + intern + insert on a miss. A one-axis
+  /// family's spec is keyed with m = 0, since its algorithm ignores m.
   [[nodiscard]] std::shared_ptr<CompiledSweepPoint> compile_spec(
-      const OperationSpec& spec, const SystemSpec& system);
+      const OperationSpec& spec, const OperationDescriptor& family,
+      const SystemSpec& system);
 
   /// Produces one current slot snapshot per sweep point: fresh snapshots
   /// are reused as-is; stale ones trigger model resolution (engine cache

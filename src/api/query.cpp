@@ -23,7 +23,13 @@ OperationSpec OperationSpec::of(std::string op, int variant, index_t m,
 }
 
 Status OperationSpec::validate() const {
+  const OperationDescriptor* family = nullptr;
+  return validate(&family);
+}
+
+Status OperationSpec::validate(const OperationDescriptor** found) const {
   const OperationDescriptor* family = OperationRegistry::instance().find(op);
+  *found = family;
   if (family == nullptr) {
     std::string known;
     for (const std::string& name : OperationRegistry::instance().names()) {
@@ -68,7 +74,15 @@ Status OperationSpec::validate() const {
 }
 
 CallTrace OperationSpec::trace() const {
-  return OperationRegistry::instance().require(op).trace(*this);
+  TraceContext ctx;
+  OperationRegistry::instance().require(op).run(*this, ctx);
+  return ctx.take();
+}
+
+CompiledTrace OperationSpec::compile() const {
+  CompilingContext ctx;
+  OperationRegistry::instance().require(op).run(*this, ctx);
+  return std::move(ctx).finish();
 }
 
 double OperationSpec::nominal_flops() const {

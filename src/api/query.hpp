@@ -22,6 +22,8 @@
 
 namespace dlap {
 
+struct OperationDescriptor;  // ops/registry.hpp
+
 /// The paper's "fixed implementation and memory locality situation": which
 /// backend's models answer the query, generated under which locality.
 struct SystemSpec {
@@ -40,8 +42,8 @@ struct SystemSpec {
 /// layer.
 struct OperationSpec {
   /// Largest m or n a spec may name. A spec may come straight from a
-  /// request body and is traced before any model is resolved, so
-  /// validate() bounds the work of tracing it; 8x the paper's largest
+  /// request body and is compiled before any model is resolved, so
+  /// validate() bounds the work of compiling it; 8x the paper's largest
   /// problem size (1024).
   static constexpr index_t kMaxSize = 8192;
   /// Most blocks a spec's blocked algorithm may traverse: ceil(n/b), times
@@ -76,10 +78,19 @@ struct OperationSpec {
   /// variant/sizes/blocksize form a traceable operation within kMaxSize
   /// and kMaxBlocks (InvalidQuery, naming the field, otherwise).
   [[nodiscard]] Status validate() const;
+  /// validate(), also setting `*family` to the family `op` names (nullptr
+  /// when it names none), so the caller needs no second registry lookup.
+  [[nodiscard]] Status validate(const OperationDescriptor** family) const;
 
-  /// The operation's exact invocation sequence (requires validate().ok();
-  /// throws dlap::lookup_error on unregistered families).
+  /// The operation's exact invocation sequence: its family's algorithm
+  /// run into a TraceContext (requires validate().ok(); throws
+  /// dlap::lookup_error on unregistered families).
   [[nodiscard]] CallTrace trace() const;
+
+  /// CompiledTrace::compile(trace()), built as the family's algorithm
+  /// runs into a CompilingContext, without recording a CallTrace (same
+  /// requirements as trace()).
+  [[nodiscard]] CompiledTrace compile() const;
 
   /// Nominal flop count of the operation (the paper's efficiency formulas
   /// use this, not the trace sum; requires validate().ok()).
@@ -88,7 +99,7 @@ struct OperationSpec {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// One prediction: either an operation spec (the engine traces it) or a
+/// One prediction: either an operation spec (the engine compiles it) or a
 /// raw CallTrace supplied by the caller.
 struct PredictQuery {
   std::optional<OperationSpec> spec;

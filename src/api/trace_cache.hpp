@@ -7,7 +7,7 @@
 // queries, and across overlapping queries from many users. Each point's
 // work factors into three layers of decreasing volatility:
 //
-//   1. the call trace and its compiled form   -- fixed per sweep point,
+//   1. the compiled trace                     -- fixed per sweep point,
 //   2. the interned resolver ids of its keys  -- fixed per engine,
 //   3. the resolved model pointers            -- valid until some model
 //                                                is (re)generated.
@@ -15,13 +15,16 @@
 // CompiledSweepPoint captures 1+2 immutably and 3 as a versioned snapshot
 // (ResolvedSlots) stamped with the engine's model-cache version; when a
 // generation widens any model the version moves on and the snapshot is
-// rebuilt on next use (invalidation-on-regeneration). A prediction is a
-// pure function of the compiled trace and the models, so the snapshot
-// also keeps the Prediction its models imply and that prediction's wire
-// text (write_prediction), both computed on first read. The points live
-// in a sharded LRU keyed by SweepPointKey, so a repeated or overlapping
-// sweep skips trace generation, compilation, interning, model
-// evaluation and number formatting entirely.
+// rebuilt on next use (invalidation-on-regeneration); Engine::reload
+// also takes the snapshots out of the cached points (take_slots), so
+// they stop pinning the previous models. A prediction is a pure function
+// of the compiled trace and the models, so the snapshot also keeps the
+// Prediction its models imply and that prediction's wire text
+// (write_prediction), both computed on first read. The points live in a
+// sharded LRU keyed by SweepPointKey, so a repeated or overlapping sweep
+// skips compilation (OperationSpec::compile, which runs the blocked
+// algorithm against a CompilingContext), interning, model evaluation and
+// number formatting entirely.
 
 #include <cstdint>
 #include <memory>
@@ -36,7 +39,9 @@
 namespace dlap {
 
 /// Identity of one sweep point: the operation coordinates plus the system
-/// whose interned ids the compiled form carries.
+/// whose interned ids the compiled form carries. `m` is 0 for a one-axis
+/// family, whose algorithm ignores it, so specs differing only in `m`
+/// share one point.
 struct SweepPointKey {
   std::string op;  ///< operation family name ("trinv", "sylv", ...)
   int variant = 0;
@@ -148,6 +153,13 @@ class CompiledSweepPoint {
   void store_slots(std::shared_ptr<const ResolvedSlots> slots) const {
     std::lock_guard<std::mutex> lock(mutex_);
     slots_ = std::move(slots);
+  }
+
+  /// Moves the snapshot out, leaving none (the next query re-resolves).
+  /// The caller frees it, outside this point's lock.
+  [[nodiscard]] std::shared_ptr<const ResolvedSlots> take_slots() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::move(slots_);
   }
 
  private:

@@ -82,6 +82,17 @@ class ShardedLru {
     }
   }
 
+  /// Calls fn(value) for every cached entry, one shard at a time under
+  /// that shard's lock; `fn` must not call back into the cache. Recency
+  /// and the hit/miss counters are untouched.
+  template <class Fn>
+  void for_each(Fn&& fn) const {
+    for (const auto& s : shards_) {
+      std::lock_guard<std::mutex> lock(s->mutex);
+      for (const auto& [key, value] : s->order) fn(*value);
+    }
+  }
+
   void clear() {
     for (auto& s : shards_) {
       std::lock_guard<std::mutex> lock(s->mutex);

@@ -46,9 +46,9 @@ bool OperationRegistry::register_family(OperationDescriptor descriptor) {
   DLAP_REQUIRE(descriptor.size_axes == 1 || descriptor.size_axes == 2,
                "OperationRegistry: '" + descriptor.name +
                    "' size_axes must be 1 or 2");
-  DLAP_REQUIRE(descriptor.trace != nullptr,
+  DLAP_REQUIRE(descriptor.run != nullptr,
                "OperationRegistry: '" + descriptor.name +
-                   "' needs a trace generator");
+                   "' needs a run callback");
   DLAP_REQUIRE(descriptor.nominal_flops != nullptr,
                "OperationRegistry: '" + descriptor.name +
                    "' needs a flop count");

@@ -5,7 +5,7 @@
 // merely its two worked examples. This registry makes that generality
 // concrete: every blocked-operation family the engine can reason about
 // registers one OperationDescriptor (its name, variant count, size axes,
-// call-trace generator, nominal flop count, and domain planner), and the
+// blocked algorithm, nominal flop count, and domain planner), and the
 // api layer (`OperationSpec`, `RankQuery`, spec→job planning, Engine
 // validation) performs registry lookups instead of branching over
 // hardcoded family names. Adding a workload is a one-file registration
@@ -49,8 +49,13 @@ struct OperationDescriptor {
   int variant_count = 0;
   /// Problem-size axes: 1 (square problems, `n` alone) or 2 (`m` and `n`).
   int size_axes = 1;
-  /// The operation's exact invocation sequence for a validated spec.
-  std::function<CallTrace(const OperationSpec&)> trace;
+  /// Runs the operation's blocked algorithm for a validated spec against
+  /// `ctx`, issuing its exact invocation sequence as kernel calls. The
+  /// context is a recording one (TraceContext for OperationSpec::trace,
+  /// CompilingContext for OperationSpec::compile), so operand pointers
+  /// are never dereferenced and may be null; the built-in families run on
+  /// untouched buffers (record_trinv, ... in predict/trace.hpp).
+  std::function<void(const OperationSpec&, KernelContext&)> run;
   /// Nominal flop count (the paper's efficiency formulas use this, not
   /// the trace sum).
   std::function<double(const OperationSpec&)> nominal_flops;
@@ -72,7 +77,7 @@ class OperationRegistry {
   /// descriptor under an existing name is ignored and `false` is
   /// returned, so repeated registration (static initializers, repeated
   /// test setup) is safe. Throws dlap::invalid_argument_error when the
-  /// descriptor is malformed (empty name, no variants, missing trace or
+  /// descriptor is malformed (empty name, no variants, missing run or
   /// flop callbacks, size_axes outside {1, 2}).
   bool register_family(OperationDescriptor descriptor);
 

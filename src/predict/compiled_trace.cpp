@@ -1,7 +1,7 @@
 #include "predict/compiled_trace.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
 #include <string_view>
 #include <utility>
 
@@ -40,58 +40,141 @@ void write_prediction(const Prediction& p, std::string* out) {
   out->push_back('}');
 }
 
+namespace {
+
+// splitmix64's finalizer: spreads every input bit over the bits the hash
+// tables index by.
+std::uint64_t scramble(std::uint64_t x) {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
+
 CompiledTrace CompiledTrace::compile(const CallTrace& trace) {
-  CompiledTrace out;
-  out.source_calls_ = static_cast<index_t>(trace.size());
-  out.order_.reserve(trace.size());
-
-  // Dedupe maps. Ordered maps keep compile dependency-free; the compile
-  // runs once per (spec, blocksize) point and is then cached, so lookup
-  // constants do not sit on the query path.
-  std::map<std::pair<int, std::string>, int> key_ids;
-  std::map<std::pair<int, std::vector<index_t>>, std::int32_t> entry_ids;
-
+  Builder builder;
+  builder.reserve(trace.size());
   for (const KernelCall& call : trace) {
-    if (call_is_degenerate(call)) {
-      ++out.skipped_;
-      out.order_.push_back(kSkippedCall);
-      continue;
-    }
-    const auto key_probe = std::make_pair(static_cast<int>(call.routine),
-                                          call.flag_key());
-    auto key_it = key_ids.find(key_probe);
-    if (key_it == key_ids.end()) {
-      key_it = key_ids.emplace(key_probe,
-                               static_cast<int>(out.keys_.size())).first;
-      out.keys_.push_back({call.routine, key_probe.second});
-      out.key_entries_.emplace_back();
-    }
-    const int key = key_it->second;
-
-    const auto entry_probe = std::make_pair(key, call.sizes);
-    auto entry_it = entry_ids.find(entry_probe);
-    if (entry_it == entry_ids.end()) {
-      CompiledCall entry;
-      entry.key = key;
-      entry.sizes = call.sizes;
-      entry.point.reserve(call.sizes.size());
-      for (index_t s : call.sizes) {
-        entry.point.push_back(static_cast<double>(s));
-      }
-      entry.flops = call_flops(call);
-      entry.multiplicity = 0;
-      entry_it = entry_ids.emplace(
-          entry_probe,
-          static_cast<std::int32_t>(out.entries_.size())).first;
-      out.key_entries_[static_cast<std::size_t>(key)].push_back(
-          static_cast<std::uint32_t>(out.entries_.size()));
-      out.entries_.push_back(std::move(entry));
-    }
-    const std::int32_t entry = entry_it->second;
-    ++out.entries_[static_cast<std::size_t>(entry)].multiplicity;
-    out.order_.push_back(entry);
+    builder.add(call.routine, call.flags, call.sizes);
   }
-  return out;
+  return std::move(builder).finish();
+}
+
+std::size_t CompiledTrace::Builder::ProbeHash::operator()(
+    const KeyProbe& k) const noexcept {
+  // The key packs losslessly into one word: routine, flag count, flags.
+  std::uint64_t word = static_cast<std::uint64_t>(k.routine) |
+                       std::uint64_t{k.nflags} << 8;
+  for (std::size_t i = 0; i < k.nflags; ++i) {
+    word |= std::uint64_t{static_cast<unsigned char>(k.flags[i])}
+            << (16 + 8 * i);
+  }
+  return scramble(word);
+}
+
+std::size_t CompiledTrace::Builder::ProbeHash::operator()(
+    const EntryProbe& e) const noexcept {
+  std::uint64_t h = (*this)(e.key);
+  for (std::size_t i = 0; i < e.nsizes; ++i) {
+    h = scramble(h ^ static_cast<std::uint64_t>(e.sizes[i]));
+  }
+  return h;
+}
+
+void CompiledTrace::Builder::add(RoutineId routine,
+                                 std::span<const char> flags,
+                                 std::span<const index_t> sizes) {
+  DLAP_REQUIRE(flags.size() <= kMaxFlags && sizes.size() <= kMaxSizes,
+               "CompiledTrace::Builder: a call has at most 4 flags and 3 "
+               "sizes");
+  ++out_.source_calls_;
+  if (call_is_degenerate(sizes)) {
+    ++out_.skipped_;
+    out_.order_.push_back(kSkippedCall);
+    return;
+  }
+
+  EntryProbe probe;
+  probe.key.routine = routine;
+  probe.key.nflags = static_cast<std::uint8_t>(flags.size());
+  std::copy(flags.begin(), flags.end(), probe.key.flags.begin());
+  probe.nsizes = static_cast<std::uint8_t>(sizes.size());
+  std::copy(sizes.begin(), sizes.end(), probe.sizes.begin());
+
+  const auto [entry_it, new_entry] = entry_ids_.try_emplace(
+      probe, static_cast<std::int32_t>(out_.entries_.size()));
+  if (new_entry) {
+    const auto [key_it, new_key] =
+        key_ids_.try_emplace(probe.key, static_cast<int>(out_.keys_.size()));
+    if (new_key) {
+      out_.keys_.push_back({routine, std::string(flags.begin(), flags.end())});
+      out_.key_entries_.emplace_back();
+    }
+    CompiledCall entry;
+    entry.key = key_it->second;
+    entry.sizes.assign(sizes.begin(), sizes.end());
+    entry.point.assign(sizes.begin(), sizes.end());
+    entry.flops = call_flops(routine, flags, sizes);
+    out_.key_entries_[static_cast<std::size_t>(entry.key)].push_back(
+        static_cast<std::uint32_t>(entry_it->second));
+    out_.entries_.push_back(std::move(entry));
+  }
+  ++out_.entries_[static_cast<std::size_t>(entry_it->second)].multiplicity;
+  out_.order_.push_back(entry_it->second);
+}
+
+void CompilingContext::gemm(Trans transa, Trans transb, index_t m, index_t n,
+                            index_t k, double, const double*, index_t,
+                            const double*, index_t, double, double*,
+                            index_t) {
+  const char flags[] = {to_char(transa), to_char(transb)};
+  const index_t sizes[] = {m, n, k};
+  builder_.add(RoutineId::Gemm, flags, sizes);
+}
+
+void CompilingContext::trsm(Side side, Uplo uplo, Trans transa, Diag diag,
+                            index_t m, index_t n, double, const double*,
+                            index_t, double*, index_t) {
+  const char flags[] = {to_char(side), to_char(uplo), to_char(transa),
+                        to_char(diag)};
+  const index_t sizes[] = {m, n};
+  builder_.add(RoutineId::Trsm, flags, sizes);
+}
+
+void CompilingContext::trmm(Side side, Uplo uplo, Trans transa, Diag diag,
+                            index_t m, index_t n, double, const double*,
+                            index_t, double*, index_t) {
+  const char flags[] = {to_char(side), to_char(uplo), to_char(transa),
+                        to_char(diag)};
+  const index_t sizes[] = {m, n};
+  builder_.add(RoutineId::Trmm, flags, sizes);
+}
+
+void CompilingContext::syrk(Uplo uplo, Trans trans, index_t n, index_t k,
+                            double, const double*, index_t, double, double*,
+                            index_t) {
+  const char flags[] = {to_char(uplo), to_char(trans)};
+  const index_t sizes[] = {n, k};
+  builder_.add(RoutineId::Syrk, flags, sizes);
+}
+
+void CompilingContext::trinv_unb(int variant, index_t n, double*, index_t) {
+  const index_t sizes[] = {n};
+  builder_.add(trinv_unb_routine(variant), {}, sizes);
+}
+
+void CompilingContext::chol_unb(int variant, index_t n, double*, index_t) {
+  const index_t sizes[] = {n};
+  builder_.add(chol_unb_routine(variant), {}, sizes);
+}
+
+void CompilingContext::sylv_unb(index_t m, index_t n, const double*, index_t,
+                                const double*, index_t, double*, index_t) {
+  const index_t sizes[] = {m, n};
+  builder_.add(RoutineId::SylvUnb, {}, sizes);
 }
 
 Prediction CompiledTrace::predict(

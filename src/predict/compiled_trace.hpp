@@ -7,7 +7,7 @@
 // A blocked algorithm's trace is highly redundant: sylv on an (m, n)
 // problem issues O((m/b)*(n/b)) calls but only O(m/b + n/b) distinct
 // (routine, flags, sizes) tuples, and every unblocked diagonal call of
-// trinv/chol repeats the same full-block size. Compiling a CallTrace
+// trinv/chol repeats the same full-block size. Compiling a call sequence
 // dedupes it into
 //   - keys:    the distinct (routine, flags) resolver keys (what a model
 //              is looked up by),
@@ -18,6 +18,14 @@
 // per key through PiecewiseModel::evaluate_many) and then accumulates the
 // cached estimates over the original call order.
 //
+// One compiler, CompiledTrace::Builder, does the dedupe one call at a
+// time on fixed-size values, allocating only per unique entry. It has two
+// feeds that yield the same compiled form field for field:
+// CompiledTrace::compile walks a recorded CallTrace, and CompilingContext
+// is the KernelContext a blocked algorithm runs against to be compiled as
+// it issues its calls, with no CallTrace in between
+// (OperationSpec::compile, the engine's trace-cache miss path).
+//
 // Accumulating in source order -- rather than folding each entry's
 // contribution as multiplicity * estimate (and multiplicity-scaled
 // variance for the stddev) -- costs a few additions per call but keeps
@@ -27,8 +35,11 @@
 // drift in the last ulps. The expensive work (model lookups, region
 // search, polynomial evaluation) is per unique entry either way.
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "modeler/modeler.hpp"
@@ -82,11 +93,17 @@ struct CompiledCall {
 
 class CompiledTrace {
  public:
+  class Builder;
+
+  /// source_order() value of a dropped degenerate call.
+  static constexpr std::int32_t kSkippedCall = -1;
+
   CompiledTrace() = default;
 
-  /// Compiles `trace`. Degenerate zero-size calls (call_is_degenerate)
-  /// perform no flops: they are counted and dropped, so they never reach
-  /// a model, and every key has at least one non-degenerate entry.
+  /// Compiles `trace`: a Builder fed each call in trace order.
+  /// Degenerate zero-size calls (call_is_degenerate) perform no flops:
+  /// they are counted and dropped, so they never reach a model, and every
+  /// key has at least one non-degenerate entry.
   [[nodiscard]] static CompiledTrace compile(const CallTrace& trace);
 
   [[nodiscard]] const std::vector<CompiledKey>& keys() const noexcept {
@@ -112,6 +129,12 @@ class CompiledTrace {
   }
   /// Degenerate calls dropped at compile time.
   [[nodiscard]] index_t skipped() const noexcept { return skipped_; }
+  /// Per source call, in source order: the index of the entry it deduped
+  /// into, or kSkippedCall.
+  [[nodiscard]] const std::vector<std::int32_t>& source_order()
+      const noexcept {
+    return order_;
+  }
 
   /// Predicts against pre-resolved models: models_by_key[k] is the model
   /// for keys()[k] (nullptr = missing; such entries' occurrences count
@@ -125,13 +148,97 @@ class CompiledTrace {
   std::vector<CompiledKey> keys_;
   std::vector<CompiledCall> entries_;
   std::vector<std::vector<std::uint32_t>> key_entries_;
-  /// Per source call: entry index, or kSkippedCall for dropped
-  /// degenerate calls.
-  std::vector<std::int32_t> order_;
+  std::vector<std::int32_t> order_;  ///< see source_order()
   index_t source_calls_ = 0;
   index_t skipped_ = 0;
+};
 
-  static constexpr std::int32_t kSkippedCall = -1;
+/// The trace compiler: takes one source call at a time and dedupes it on
+/// fixed-size values (routine, at most kMaxFlags flag characters, at most
+/// kMaxSizes sizes), so a call that repeats an earlier (routine, flags,
+/// sizes) costs a hash probe and no allocation. Keys and entries are
+/// numbered in first-seen order, and a new entry's flops come from
+/// call_flops, so the result depends only on the sequence of calls fed
+/// in, not on where it came from.
+class CompiledTrace::Builder {
+ public:
+  static constexpr std::size_t kMaxFlags = 4;
+  static constexpr std::size_t kMaxSizes = 3;
+
+  /// Appends the next source call: its flag values and sizes in signature
+  /// order. Throws dlap::invalid_argument_error when it has more than
+  /// kMaxFlags flags or kMaxSizes sizes (no routine does).
+  void add(RoutineId routine, std::span<const char> flags,
+           std::span<const index_t> sizes);
+
+  /// Capacity hint: about `calls` source calls follow.
+  void reserve(std::size_t calls) {
+    out_.order_.reserve(out_.order_.size() + calls);
+  }
+
+  /// The compiled form of every call added so far.
+  [[nodiscard]] CompiledTrace finish() && { return std::move(out_); }
+
+ private:
+  /// A (routine, flags) resolver key as a fixed-size value.
+  struct KeyProbe {
+    RoutineId routine = RoutineId::Gemm;
+    std::uint8_t nflags = 0;
+    std::array<char, kMaxFlags> flags{};
+    [[nodiscard]] bool operator==(const KeyProbe&) const = default;
+  };
+  /// A (key, sizes) entry as a fixed-size value.
+  struct EntryProbe {
+    KeyProbe key;
+    std::uint8_t nsizes = 0;
+    std::array<index_t, kMaxSizes> sizes{};
+    [[nodiscard]] bool operator==(const EntryProbe&) const = default;
+  };
+  struct ProbeHash {
+    [[nodiscard]] std::size_t operator()(const KeyProbe& k) const noexcept;
+    [[nodiscard]] std::size_t operator()(const EntryProbe& e) const noexcept;
+  };
+
+  CompiledTrace out_;
+  std::unordered_map<KeyProbe, int, ProbeHash> key_ids_;
+  std::unordered_map<EntryProbe, std::int32_t, ProbeHash> entry_ids_;
+};
+
+/// The KernelContext that compiles: every kernel a blocked algorithm
+/// issues goes straight into a CompiledTrace::Builder, so running the
+/// algorithm against it yields CompiledTrace::compile of the CallTrace a
+/// TraceContext would have recorded, without building that trace. Like
+/// TraceContext it never dereferences an operand pointer.
+class CompilingContext final : public KernelContext {
+ public:
+  /// The compiled form of every call issued so far.
+  [[nodiscard]] CompiledTrace finish() && {
+    return std::move(builder_).finish();
+  }
+
+  void reserve(index_t calls) override {
+    if (calls > 0) builder_.reserve(static_cast<std::size_t>(calls));
+  }
+  void gemm(Trans transa, Trans transb, index_t m, index_t n, index_t k,
+            double alpha, const double* a, index_t lda, const double* b,
+            index_t ldb, double beta, double* c, index_t ldc) override;
+  void trsm(Side side, Uplo uplo, Trans transa, Diag diag, index_t m,
+            index_t n, double alpha, const double* a, index_t lda, double* b,
+            index_t ldb) override;
+  void trmm(Side side, Uplo uplo, Trans transa, Diag diag, index_t m,
+            index_t n, double alpha, const double* a, index_t lda, double* b,
+            index_t ldb) override;
+  void syrk(Uplo uplo, Trans trans, index_t n, index_t k, double alpha,
+            const double* a, index_t lda, double beta, double* c,
+            index_t ldc) override;
+  void trinv_unb(int variant, index_t n, double* l, index_t ldl) override;
+  void chol_unb(int variant, index_t n, double* a, index_t lda) override;
+  void sylv_unb(index_t m, index_t n, const double* l, index_t ldl,
+                const double* u, index_t ldu, double* x,
+                index_t ldx) override;
+
+ private:
+  CompiledTrace::Builder builder_;
 };
 
 }  // namespace dlap

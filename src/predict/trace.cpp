@@ -60,12 +60,7 @@ void TraceContext::syrk(Uplo uplo, Trans trans, index_t n, index_t k,
 
 void TraceContext::trinv_unb(int variant, index_t n, double*, index_t ldl) {
   KernelCall c;
-  switch (variant) {
-    case 1: c.routine = RoutineId::Trinv1Unb; break;
-    case 2: c.routine = RoutineId::Trinv2Unb; break;
-    case 3: c.routine = RoutineId::Trinv3Unb; break;
-    default: c.routine = RoutineId::Trinv4Unb; break;
-  }
+  c.routine = trinv_unb_routine(variant);
   c.sizes = {n};
   c.leads = {ldl};
   trace_.push_back(std::move(c));
@@ -73,11 +68,7 @@ void TraceContext::trinv_unb(int variant, index_t n, double*, index_t ldl) {
 
 void TraceContext::chol_unb(int variant, index_t n, double*, index_t lda) {
   KernelCall c;
-  switch (variant) {
-    case 1: c.routine = RoutineId::Chol1Unb; break;
-    case 2: c.routine = RoutineId::Chol2Unb; break;
-    default: c.routine = RoutineId::Chol3Unb; break;
-  }
+  c.routine = chol_unb_routine(variant);
   c.sizes = {n};
   c.leads = {lda};
   trace_.push_back(std::move(c));
@@ -99,9 +90,10 @@ index_t ceil_div(index_t a, index_t b) {
   return b > 0 ? a / b + (a % b != 0 ? 1 : 0) : 0;
 }
 
-/// Storage for one operand of a traced run. The algorithms only form
-/// sub-block pointers into it and TraceContext never dereferences them,
-/// so it is left uninitialized: its pages are never touched.
+/// Storage for one operand of a recorded run. The algorithms only form
+/// sub-block pointers into it and the recording contexts never
+/// dereference them, so it is left uninitialized: its pages are never
+/// touched.
 std::unique_ptr<double[]> untouched_operand(index_t rows, index_t cols) {
   DLAP_REQUIRE(rows >= 0 && cols >= 0 &&
                    (cols == 0 ||
@@ -110,6 +102,9 @@ std::unique_ptr<double[]> untouched_operand(index_t rows, index_t cols) {
   return std::make_unique_for_overwrite<double[]>(
       static_cast<std::size_t>(rows * cols));
 }
+
+// Leading dimension of a column-major operand with `rows` rows.
+index_t leading_dim(index_t rows) { return rows > 0 ? rows : 1; }
 }  // namespace
 
 index_t trace_trinv_calls(index_t n, index_t blocksize) {
@@ -130,30 +125,45 @@ index_t trace_chol_calls(index_t n, index_t blocksize) {
   return 4 * ceil_div(n, blocksize);
 }
 
-CallTrace trace_trinv(int variant, index_t n, index_t blocksize) {
+void record_trinv(KernelContext& ctx, int variant, index_t n,
+                  index_t blocksize) {
   const auto l = untouched_operand(n, n);
-  TraceContext ctx;
   ctx.reserve(trace_trinv_calls(n, blocksize));
-  trinv_blocked(ctx, variant, n, l.get(), n > 0 ? n : 1, blocksize);
+  trinv_blocked(ctx, variant, n, l.get(), leading_dim(n), blocksize);
+}
+
+void record_sylv(KernelContext& ctx, int variant, index_t m, index_t n,
+                 index_t blocksize) {
+  const auto l = untouched_operand(m, m);
+  const auto u = untouched_operand(n, n);
+  const auto x = untouched_operand(m, n);
+  ctx.reserve(trace_sylv_calls(m, n, blocksize));
+  sylv_blocked(ctx, variant, m, n, l.get(), leading_dim(m), u.get(),
+               leading_dim(n), x.get(), leading_dim(m), blocksize);
+}
+
+void record_chol(KernelContext& ctx, int variant, index_t n,
+                 index_t blocksize) {
+  const auto a = untouched_operand(n, n);
+  ctx.reserve(trace_chol_calls(n, blocksize));
+  chol_blocked(ctx, variant, n, a.get(), leading_dim(n), blocksize);
+}
+
+CallTrace trace_trinv(int variant, index_t n, index_t blocksize) {
+  TraceContext ctx;
+  record_trinv(ctx, variant, n, blocksize);
   return ctx.take();
 }
 
 CallTrace trace_sylv(int variant, index_t m, index_t n, index_t blocksize) {
-  const auto l = untouched_operand(m, m);
-  const auto u = untouched_operand(n, n);
-  const auto x = untouched_operand(m, n);
   TraceContext ctx;
-  ctx.reserve(trace_sylv_calls(m, n, blocksize));
-  sylv_blocked(ctx, variant, m, n, l.get(), m > 0 ? m : 1, u.get(),
-               n > 0 ? n : 1, x.get(), m > 0 ? m : 1, blocksize);
+  record_sylv(ctx, variant, m, n, blocksize);
   return ctx.take();
 }
 
 CallTrace trace_chol(int variant, index_t n, index_t blocksize) {
-  const auto a = untouched_operand(n, n);
   TraceContext ctx;
-  ctx.reserve(trace_chol_calls(n, blocksize));
-  chol_blocked(ctx, variant, n, a.get(), n > 0 ? n : 1, blocksize);
+  record_chol(ctx, variant, n, blocksize);
   return ctx.take();
 }
 

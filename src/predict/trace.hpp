@@ -29,11 +29,13 @@ class TraceContext final : public KernelContext {
 
   void clear() { trace_.clear(); }
 
-  /// Pre-allocates storage for the expected number of calls (the trace
-  /// generators pass their family's call-count estimate, killing
+  /// Pre-allocates storage for the expected number of calls (the
+  /// recorders pass their family's call-count estimate, killing
   /// reallocation churn during recording).
-  void reserve(index_t calls) {
-    if (calls > 0) trace_.reserve(static_cast<std::size_t>(calls));
+  void reserve(index_t calls) override {
+    if (calls > 0) {
+      trace_.reserve(trace_.size() + static_cast<std::size_t>(calls));
+    }
   }
 
   void gemm(Trans transa, Trans transb, index_t m, index_t n, index_t k,
@@ -59,13 +61,31 @@ class TraceContext final : public KernelContext {
 };
 
 /// Call-count estimates for the built-in blocked algorithms (slight upper
-/// bounds). The trace generators reserve() their storage from these, and
+/// bounds). The recorders reserve() their context's storage from these, and
 /// callers sizing downstream structures (e.g. the trace compiler) may use
 /// them as capacity hints.
 [[nodiscard]] index_t trace_trinv_calls(index_t n, index_t blocksize);
 [[nodiscard]] index_t trace_sylv_calls(index_t m, index_t n,
                                        index_t blocksize);
 [[nodiscard]] index_t trace_chol_calls(index_t n, index_t blocksize);
+
+// Recorders: each runs a built-in blocked algorithm into a recording
+// context (a TraceContext, or a CompilingContext from
+// predict/compiled_trace.hpp) on operands allocated here and never
+// initialized, so `ctx` must not read or write them. They are the one
+// place the built-in families' operands are made: the trace_* functions
+// below and the families' OperationDescriptor::run both call them.
+
+/// trinv variant 1-4 on an n x n matrix, ldL = n.
+void record_trinv(KernelContext& ctx, int variant, index_t n,
+                  index_t blocksize);
+/// sylv variant 1-16 on L (m x m), U (n x n), X (m x n), ldL = ldX = m,
+/// ldU = n.
+void record_sylv(KernelContext& ctx, int variant, index_t m, index_t n,
+                 index_t blocksize);
+/// chol variant 1-3 on an n x n matrix, ldA = n.
+void record_chol(KernelContext& ctx, int variant, index_t n,
+                 index_t blocksize);
 
 /// Trace of trinv variant 1-4 on an n x n matrix (ldL = n) with the given
 /// block size; no numerical work is performed.

@@ -84,9 +84,13 @@ const std::vector<ArgKind>& routine_signature(RoutineId id) {
   return meta(id).signature;
 }
 
-bool call_is_degenerate(const KernelCall& call) {
-  return std::any_of(call.sizes.begin(), call.sizes.end(),
+bool call_is_degenerate(std::span<const index_t> sizes) noexcept {
+  return std::any_of(sizes.begin(), sizes.end(),
                      [](index_t s) { return s == 0; });
+}
+
+bool call_is_degenerate(const KernelCall& call) noexcept {
+  return call_is_degenerate(call.sizes);
 }
 
 void validate_call(const KernelCall& c) {
@@ -113,25 +117,34 @@ void validate_call(const KernelCall& c) {
   }
 }
 
-double call_flops(const KernelCall& c) {
-  const auto sz = [&](std::size_t i) {
-    return static_cast<double>(c.sizes.at(i));
+double call_flops(RoutineId routine, std::span<const char> flags,
+                  std::span<const index_t> sizes) {
+  const auto size = [&](std::size_t i) {
+    DLAP_REQUIRE(i < sizes.size(), std::string(routine_name(routine)) +
+                                       ": too few size arguments");
+    return sizes[i];
   };
-  switch (c.routine) {
+  const auto sz = [&](std::size_t i) { return static_cast<double>(size(i)); };
+  const auto left = [&] {
+    DLAP_REQUIRE(!flags.empty(), std::string(routine_name(routine)) +
+                                     ": missing side flag");
+    return flags[0] == 'L';
+  };
+  switch (routine) {
     case RoutineId::Gemm:
       return 2.0 * sz(0) * sz(1) * sz(2);
     case RoutineId::Trsm:
     case RoutineId::Trmm: {
       const double m = sz(0);
       const double n = sz(1);
-      return (c.flags.at(0) == 'L') ? m * m * n : m * n * n;
+      return left() ? m * m * n : m * n * n;
     }
     case RoutineId::Syrk:
       return sz(1) * sz(0) * (sz(0) + 1.0);
     case RoutineId::Symm: {
       const double m = sz(0);
       const double n = sz(1);
-      return 2.0 * m * n * ((c.flags.at(0) == 'L') ? m : n);
+      return 2.0 * m * n * (left() ? m : n);
     }
     case RoutineId::Syr2k:
       return 2.0 * sz(1) * sz(0) * (sz(0) + 1.0);
@@ -139,15 +152,19 @@ double call_flops(const KernelCall& c) {
     case RoutineId::Trinv2Unb:
     case RoutineId::Trinv3Unb:
     case RoutineId::Trinv4Unb:
-      return trinv_flops(c.sizes.at(0));
+      return trinv_flops(size(0));
     case RoutineId::SylvUnb:
-      return sylv_flops(c.sizes.at(0), c.sizes.at(1));
+      return sylv_flops(size(0), size(1));
     case RoutineId::Chol1Unb:
     case RoutineId::Chol2Unb:
     case RoutineId::Chol3Unb:
-      return chol_flops(c.sizes.at(0));
+      return chol_flops(size(0));
   }
   return 0.0;
+}
+
+double call_flops(const KernelCall& c) {
+  return call_flops(c.routine, c.flags, c.sizes);
 }
 
 std::vector<OperandShape> operand_shapes(const KernelCall& c) {

@@ -12,6 +12,7 @@
 // Calls have a textual form identical in spirit to the paper's tuples,
 // e.g.  dtrsm(R,L,N,U,512,128,0.37,A,256,B,512).
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +42,27 @@ enum class RoutineId : int {
 };
 
 inline constexpr int kRoutineCount = 14;
+
+/// The unblocked trinv routine with the loop structure of blocked variant
+/// `variant` (1-3; any other value names variant 4's).
+[[nodiscard]] constexpr RoutineId trinv_unb_routine(int variant) noexcept {
+  switch (variant) {
+    case 1: return RoutineId::Trinv1Unb;
+    case 2: return RoutineId::Trinv2Unb;
+    case 3: return RoutineId::Trinv3Unb;
+    default: return RoutineId::Trinv4Unb;
+  }
+}
+
+/// The unblocked Cholesky routine of blocked variant `variant` (1-2; any
+/// other value names variant 3's).
+[[nodiscard]] constexpr RoutineId chol_unb_routine(int variant) noexcept {
+  switch (variant) {
+    case 1: return RoutineId::Chol1Unb;
+    case 2: return RoutineId::Chol2Unb;
+    default: return RoutineId::Chol3Unb;
+  }
+}
 
 [[nodiscard]] const char* routine_name(RoutineId id);
 [[nodiscard]] RoutineId routine_from_name(const std::string& name);
@@ -84,14 +106,22 @@ struct KernelCall {
 /// calls appear naturally in traces, e.g. the first trinv iteration's
 /// dtrmm with n = 0). The planner and the trace compiler both use this
 /// one predicate to agree on which calls are degenerate.
-[[nodiscard]] bool call_is_degenerate(const KernelCall& call);
+[[nodiscard]] bool call_is_degenerate(std::span<const index_t> sizes) noexcept;
+[[nodiscard]] bool call_is_degenerate(const KernelCall& call) noexcept;
 
 /// Throws dlap::invalid_argument_error unless the field counts match the
 /// routine's signature and all sizes/leads are valid.
 void validate_call(const KernelCall& call);
 
-/// Number of double-precision flops the call performs (mult+add counted
-/// separately, matching the efficiency formulas in the paper).
+/// Number of double-precision flops a call of `routine` with these flag
+/// values and sizes (signature order) performs, mult+add counted
+/// separately, matching the efficiency formulas in the paper. The one flop
+/// formula: the KernelCall overload and the trace compiler both use it.
+/// Throws dlap::invalid_argument_error when `flags` or `sizes` is shorter
+/// than the formula reads.
+[[nodiscard]] double call_flops(RoutineId routine,
+                                std::span<const char> flags,
+                                std::span<const index_t> sizes);
 [[nodiscard]] double call_flops(const KernelCall& call);
 
 /// Shape/type of one matrix operand of a call.

@@ -23,6 +23,7 @@
 #include "api/intern.hpp"
 #include "api/trace_cache.hpp"
 #include "common/lru.hpp"
+#include "ops/registry.hpp"
 #include "predict/compiled_trace.hpp"
 #include "predict/trace.hpp"
 #include "reference_predict.hpp"
@@ -61,8 +62,8 @@ void expect_identical(const SampleStats& a, const SampleStats& b) {
 /// most-accurate-wins rule during prediction.
 RoutineModel fitted_model(const std::string& routine,
                           const std::string& flags, int dims,
-                          index_t hi = 4096) {
-  double h = 7.0;
+                          index_t hi = 4096, double salt = 0.0) {
+  double h = 7.0 + salt;
   for (char c : routine + "/" + flags) h = 0.83 * h + 0.11 * c;
 
   const auto piece_for = [&](index_t lo_v, index_t hi_v, double fit_error,
@@ -158,6 +159,99 @@ TEST(CompiledTrace, BitIdenticalToReferenceAcrossFamilies) {
     const Prediction via_compiled = compiled.predict(set.by_key(compiled));
     expect_identical(via_compiled, reference);
   }
+}
+
+// ------------------------------------------------------- CompilingContext
+
+/// One model per distinct (routine, flags) of the trace, each with a
+/// random coefficient salt.
+reference::Models random_models_for(const CallTrace& trace,
+                                    std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> salt(0.0, 1000.0);
+  reference::Models set;
+  for (const KernelCall& call : trace) {
+    const std::string routine = routine_name(call.routine);
+    if (set.find(routine, call.flag_key()) == nullptr) {
+      set.add(fitted_model(routine, call.flag_key(),
+                           static_cast<int>(call.sizes.size()), 4096,
+                           salt(rng)));
+    }
+  }
+  return set;
+}
+
+void expect_same_compiled(const CompiledTrace& a, const CompiledTrace& b) {
+  ASSERT_EQ(a.keys().size(), b.keys().size());
+  for (std::size_t k = 0; k < a.keys().size(); ++k) {
+    EXPECT_EQ(a.keys()[k].routine, b.keys()[k].routine);
+    EXPECT_EQ(a.keys()[k].flags, b.keys()[k].flags);
+    EXPECT_EQ(a.entries_of(static_cast<int>(k)),
+              b.entries_of(static_cast<int>(k)));
+  }
+  ASSERT_EQ(a.entries().size(), b.entries().size());
+  for (std::size_t e = 0; e < a.entries().size(); ++e) {
+    const CompiledCall& x = a.entries()[e];
+    const CompiledCall& y = b.entries()[e];
+    EXPECT_EQ(x.key, y.key);
+    EXPECT_EQ(x.sizes, y.sizes);
+    EXPECT_EQ(x.point, y.point);
+    EXPECT_EQ(x.flops, y.flops);
+    EXPECT_EQ(x.multiplicity, y.multiplicity);
+  }
+  EXPECT_EQ(a.source_calls(), b.source_calls());
+  EXPECT_EQ(a.skipped(), b.skipped());
+  EXPECT_EQ(a.source_order(), b.source_order());
+}
+
+TEST(CompilingContext, CompiledFormDoesNotDependOnTheFeed) {
+  // Every built-in family and variant, compiled as its algorithm runs and
+  // from its recorded trace. The grid has blocksizes at and above n, n
+  // that are not multiples of the blocksize, and sylv with m != n.
+  struct Shape {
+    index_t m, n;
+  };
+  const std::vector<Shape> one_axis = {{0, 1}, {0, 5}, {0, 64}, {0, 100},
+                                       {0, 257}};
+  const std::vector<Shape> two_axes = {{1, 7}, {64, 64}, {96, 40}, {33, 130}};
+  const std::vector<index_t> blocksizes = {7, 16, 48, 64, 300};
+  std::mt19937_64 rng(1706);
+  index_t specs = 0;
+  for (const char* op : {"trinv", "sylv", "chol"}) {
+    const OperationDescriptor& family =
+        OperationRegistry::instance().require(op);
+    for (int v = 1; v <= family.variant_count; ++v) {
+      for (const Shape& shape : family.size_axes == 2 ? two_axes : one_axis) {
+        for (const index_t b : blocksizes) {
+          const OperationSpec spec =
+              OperationSpec::of(op, v, shape.m, shape.n, b);
+          SCOPED_TRACE(spec.to_string());
+          ASSERT_TRUE(spec.validate().ok());
+          const CallTrace trace = spec.trace();
+          const CompiledTrace direct = spec.compile();
+          const CompiledTrace recorded = CompiledTrace::compile(trace);
+          ASSERT_NO_FATAL_FAILURE(expect_same_compiled(direct, recorded));
+
+          const reference::Models set = random_models_for(trace, rng);
+          const Prediction expected = reference::predict(trace, set);
+          expect_identical(direct.predict(set.by_key(direct)), expected);
+          expect_identical(recorded.predict(set.by_key(recorded)), expected);
+          ++specs;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(specs, (4 + 3) * 5 * 5 + 16 * 4 * 5);
+}
+
+TEST(CompilingContext, BuilderRejectsCallsWiderThanItsProbe) {
+  CompiledTrace::Builder builder;
+  const index_t four_sizes[] = {1, 2, 3, 4};
+  EXPECT_THROW(builder.add(RoutineId::Gemm, {}, four_sizes),
+               invalid_argument_error);
+  const char five_flags[] = {'L', 'L', 'N', 'N', 'N'};
+  const index_t two_sizes[] = {8, 8};
+  EXPECT_THROW(builder.add(RoutineId::Trsm, five_flags, two_sizes),
+               invalid_argument_error);
 }
 
 TEST(CompiledTrace, BitIdenticalWithMissingModels) {
@@ -669,6 +763,82 @@ TEST(EngineCompiled, ReloadedContainerReplacesStoredPredictions) {
   EXPECT_NE(after->predictions[0].ticks.median,
             before->predictions[0].ticks.median);  // the models differ
   EXPECT_NE(*after->prediction_json[0], *before->prediction_json[0]);
+}
+
+TEST(EngineCompiled, ReloadReleasesTheSnapshotsOfCachedPoints) {
+  const RankQuery query = RankQuery::trinv_variants(160, 32);
+  const fs::path repo =
+      fs::temp_directory_path() / "dlap_test_compiled_release_repo";
+  const TempEngine::Cleanup repo_cleanup{repo};
+  ASSERT_NO_FATAL_FAILURE(
+      write_container_repository(repo, 0.0, query.candidates));
+
+  EngineConfig cfg = test_config("dlap_test_compiled_release");
+  cfg.generate_missing = false;
+  TempEngine t("dlap_test_compiled_release", cfg);
+  fs::create_directories(t.dir);
+  fs::copy_file(repo / storage::kContainerFilename,
+                t.dir / storage::kContainerFilename);
+  ASSERT_TRUE(t.engine.reload().ok());
+
+  // A model the rank resolved, watched while the rank is answered.
+  const ModelKey key{"trinv1_unb", cfg.system.backend, cfg.system.locality,
+                     ""};
+  std::weak_ptr<const RoutineModel> watched;
+  {
+    const auto answer = t.engine.rank(query);
+    ASSERT_TRUE(answer.ok()) << answer.status().to_string();
+    const std::shared_ptr<const RoutineModel> model =
+        t.engine.service().find(key);
+    ASSERT_NE(model, nullptr);
+    watched = model;
+  }
+  EXPECT_FALSE(watched.expired());  // the cached snapshots pin it
+  ASSERT_TRUE(t.engine.reload().ok());
+  EXPECT_TRUE(watched.expired());
+  EXPECT_EQ(t.engine.trace_cache_stats().size, 4u);  // traces stay cached
+
+  // A ranking held across a reload keeps its own snapshots and bytes.
+  const auto held = t.engine.rank(query);
+  ASSERT_TRUE(held.ok()) << held.status().to_string();
+  std::vector<std::string> texts;
+  for (const auto& text : held->prediction_json) texts.push_back(*text);
+  ASSERT_TRUE(t.engine.reload().ok());
+  ASSERT_EQ(held->prediction_json.size(), texts.size());
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    EXPECT_EQ(*held->prediction_json[i], texts[i]);
+  }
+  expect_stored_text(*held);
+  const auto again = t.engine.rank(query);  // re-resolved, same models
+  ASSERT_TRUE(again.ok()) << again.status().to_string();
+  expect_identical(*again, *held);
+}
+
+TEST(EngineCompiled, OneAxisSpecsShareOnePointAcrossM) {
+  TempEngine t("dlap_test_compiled_one_axis");
+  for (const OperationSpec& base : {OperationSpec::trinv(2, 160, 32),
+                                    OperationSpec::chol(3, 128, 48)}) {
+    SCOPED_TRACE(base.to_string());
+    t.engine.clear_trace_cache();
+    const LruStats before = t.engine.trace_cache_stats();
+    OperationSpec other = base;
+    other.m = 77;  // one-axis families ignore m
+    const auto first = t.engine.predict(PredictQuery::of(base));
+    ASSERT_TRUE(first.ok()) << first.status().to_string();
+    const auto second = t.engine.predict(PredictQuery::of(other));
+    ASSERT_TRUE(second.ok()) << second.status().to_string();
+    const LruStats after = t.engine.trace_cache_stats();
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.hits - before.hits, 1u);
+    EXPECT_EQ(after.size, 1u);
+    expect_identical(*first, *second);
+
+    // A ranking echoes each candidate as given.
+    const auto ranked = t.engine.rank(RankQuery{{other}, std::nullopt});
+    ASSERT_TRUE(ranked.ok()) << ranked.status().to_string();
+    EXPECT_EQ(ranked->candidates[0].m, 77);
+    expect_identical(ranked->predictions[0], *first);
+  }
 }
 
 TEST(EngineCompiled, SpecAndEquivalentRawTraceAgree) {

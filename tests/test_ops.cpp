@@ -13,6 +13,7 @@
 #include "algorithms/sylv.hpp"
 #include "algorithms/trinv.hpp"
 #include "ops/registry.hpp"
+#include "predict/compiled_trace.hpp"
 #include "predict/trace.hpp"
 
 namespace dlap {
@@ -73,7 +74,7 @@ TEST(OperationRegistry, RegistrationIsIdempotent) {
   OperationDescriptor clone;
   clone.name = "trinv";
   clone.variant_count = 99;
-  clone.trace = [](const OperationSpec&) { return CallTrace{}; };
+  clone.run = [](const OperationSpec&, KernelContext&) {};
   clone.nominal_flops = [](const OperationSpec&) { return 0.0; };
   EXPECT_FALSE(reg.register_family(std::move(clone)));
   EXPECT_EQ(reg.require("trinv").variant_count, kTrinvVariantCount);
@@ -82,7 +83,9 @@ TEST(OperationRegistry, RegistrationIsIdempotent) {
   OperationDescriptor once;
   once.name = "test_idempotence_op";
   once.variant_count = 2;
-  once.trace = [](const OperationSpec& s) { return trace_trinv(1, s.n, s.blocksize); };
+  once.run = [](const OperationSpec& s, KernelContext& ctx) {
+    record_trinv(ctx, 1, s.n, s.blocksize);
+  };
   once.nominal_flops = [](const OperationSpec& s) { return trinv_flops(s.n); };
   OperationDescriptor again = once;
   EXPECT_TRUE(reg.register_family(std::move(once)));
@@ -95,7 +98,7 @@ TEST(OperationRegistry, RejectsMalformedDescriptors) {
   OperationDescriptor good;
   good.name = "test_malformed_op";
   good.variant_count = 1;
-  good.trace = [](const OperationSpec&) { return CallTrace{}; };
+  good.run = [](const OperationSpec&, KernelContext&) {};
   good.nominal_flops = [](const OperationSpec&) { return 0.0; };
 
   OperationDescriptor nameless = good;
@@ -108,9 +111,9 @@ TEST(OperationRegistry, RejectsMalformedDescriptors) {
   EXPECT_THROW(reg.register_family(std::move(variantless)),
                invalid_argument_error);
 
-  OperationDescriptor traceless = good;
-  traceless.trace = nullptr;
-  EXPECT_THROW(reg.register_family(std::move(traceless)),
+  OperationDescriptor runless = good;
+  runless.run = nullptr;
+  EXPECT_THROW(reg.register_family(std::move(runless)),
                invalid_argument_error);
 
   OperationDescriptor flopless = good;
@@ -163,14 +166,9 @@ TEST(OperationRegistry, CustomFamilyWithCustomPlannerEndToEnd) {
   op.name = "test_square_gemm";
   op.variant_count = 1;
   op.size_axes = 1;
-  op.trace = [](const OperationSpec& s) {
-    KernelCall c;
-    c.routine = RoutineId::Gemm;
-    c.flags = {'N', 'N'};
-    c.sizes = {s.n, s.n, s.n};
-    c.scalars = {1.0, 0.0};
-    c.leads = {s.n, s.n, s.n};
-    return CallTrace{c};
+  op.run = [](const OperationSpec& s, KernelContext& ctx) {
+    ctx.gemm(Trans::NoTrans, Trans::NoTrans, s.n, s.n, s.n, 1.0, nullptr,
+             s.n, nullptr, s.n, 0.0, nullptr, s.n);
   };
   op.nominal_flops = [](const OperationSpec& s) {
     const double n = static_cast<double>(s.n);
@@ -196,7 +194,23 @@ TEST(OperationRegistry, CustomFamilyWithCustomPlannerEndToEnd) {
   const OperationSpec spec =
       OperationSpec::of("test_square_gemm", 1, 0, 100, 16);
   ASSERT_TRUE(spec.validate().ok()) << spec.validate().to_string();
-  EXPECT_EQ(spec.trace().size(), 1u);
+  const CallTrace trace = spec.trace();
+  ASSERT_EQ(trace.size(), 1u);
+  EXPECT_EQ(format_call(trace[0]),
+            "dgemm(N,N,100,100,100,1,A,100,B,100,0,C,100)");
+
+  // The same run, compiled as it issues its call.
+  const CompiledTrace compiled = spec.compile();
+  const CompiledTrace recorded = CompiledTrace::compile(trace);
+  ASSERT_EQ(compiled.keys().size(), 1u);
+  EXPECT_EQ(compiled.keys()[0].routine, RoutineId::Gemm);
+  EXPECT_EQ(compiled.keys()[0].flags, recorded.keys()[0].flags);
+  ASSERT_EQ(compiled.entries().size(), 1u);
+  EXPECT_EQ(compiled.entries()[0].sizes,
+            (std::vector<index_t>{100, 100, 100}));
+  EXPECT_EQ(compiled.entries()[0].flops, recorded.entries()[0].flops);
+  EXPECT_EQ(compiled.entries()[0].flops, spec.nominal_flops());
+  EXPECT_EQ(compiled.source_order(), recorded.source_order());
 
   const SystemSpec system{"blocked", Locality::InCache};
   const auto jobs = plan_jobs_for_specs({spec}, system, PlanningPolicy{});
