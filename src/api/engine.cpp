@@ -171,16 +171,16 @@ Status Engine::resolve(
           need.key = ModelKey{routine_name(ck.routine), system.backend,
                               system.locality, ck.flags};
         }
-        for (const std::uint32_t e : trace.entries_of(static_cast<int>(k))) {
-          const CompiledCall& call = trace.entries()[e];
-          if (need.lo.empty()) {
-            need.lo = call.sizes;
-            need.hi = call.sizes;
-          } else {
-            for (std::size_t d = 0; d < need.lo.size(); ++d) {
-              need.lo[d] = std::min(need.lo[d], call.sizes[d]);
-              need.hi[d] = std::max(need.hi[d], call.sizes[d]);
-            }
+      }
+      for (const CompiledCall& call : trace.entries()) {
+        Need& need = needs[ids[static_cast<std::size_t>(call.key)]];
+        if (need.lo.empty()) {
+          need.lo = call.sizes;
+          need.hi = call.sizes;
+        } else {
+          for (std::size_t d = 0; d < need.lo.size(); ++d) {
+            need.lo[d] = std::min(need.lo[d], call.sizes[d]);
+            need.hi[d] = std::max(need.hi[d], call.sizes[d]);
           }
         }
       }

@@ -18,6 +18,11 @@ namespace dlap {
 /// safe; 64-bit so that element counts of large operands never overflow.
 using index_t = std::int64_t;
 
+/// Most size parameters a model, a sample point or a journal line may
+/// have. No routine takes more than three; every reader rejects more, and
+/// polynomial evaluation normalizes a point into scratch of this size.
+inline constexpr int kMaxDims = 8;
+
 /// Exception thrown on invalid arguments to public API entry points.
 class invalid_argument_error : public std::invalid_argument {
  public:

@@ -1,6 +1,7 @@
 #include "modeler/fit.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "modeler/lstsq.hpp"
@@ -29,20 +30,25 @@ FitResult fit_polynomial_once(const Region& region,
         std::max(0.5 * static_cast<double>(region.extent(d)), 1.0);
   }
 
-  const auto basis = monomial_basis(dims, degree);
-  const index_t ncoef = static_cast<index_t>(basis.size());
+  // Design-matrix rows are the monomials polynomial evaluation forms,
+  // from the same table in the same product order.
+  const std::uint8_t* exps = monomial_exponents(dims, degree).data();
+  const index_t ncoef = monomial_count(dims, degree);
   const index_t npts = static_cast<index_t>(samples.size());
 
   // Shared design matrix; five right-hand sides (one per statistic).
   Matrix a(npts, ncoef);
   Matrix b(npts, kStatCount);
-  std::vector<double> xr(dims), phi;
+  std::vector<double> xr(dims);
+  std::array<double, kMaxDims> z{};
   for (index_t i = 0; i < npts; ++i) {
     for (int d = 0; d < dims; ++d) {
       xr[d] = static_cast<double>(samples[i].x[d]);
     }
-    evaluate_basis(basis, norm.apply(xr), phi);
-    for (index_t m = 0; m < ncoef; ++m) a(i, m) = phi[m];
+    norm.apply_into(xr, z);
+    for (index_t m = 0; m < ncoef; ++m) {
+      a(i, m) = monomial_value(exps + m * dims, z.data(), dims);
+    }
     const auto vals = samples[i].stats.as_array();
     for (int s = 0; s < kStatCount; ++s) b(i, s) = vals[s];
   }

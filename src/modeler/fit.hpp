@@ -33,7 +33,8 @@ struct FitResult {
 
 /// Fits all statistics over the given samples with polynomials of total
 /// degree `degree`, normalized to the region (inputs mapped to [-1, 1]).
-/// Requires at least one sample; under-determined fits degrade gracefully
+/// Requires at least one sample, 0 <= degree <= kMaxDegree and a region of
+/// at most kMaxDims dimensions; under-determined fits degrade gracefully
 /// through rank truncation.
 [[nodiscard]] FitResult fit_polynomial(const Region& region,
                                        const std::vector<SamplePoint>& samples,

@@ -229,36 +229,6 @@ SampleStats PiecewiseModel::evaluate(const std::vector<index_t>& point) const {
   return evaluate(p);
 }
 
-void PiecewiseModel::evaluate_many(
-    const std::vector<const std::vector<double>*>& points,
-    std::vector<SampleStats>& out) const {
-  DLAP_REQUIRE(!pieces_.empty(), "evaluating an empty model");
-  out.resize(points.size());
-  // Group points by winning piece so one region's polynomial runs over a
-  // whole batch; projected points take the (rare) per-point path.
-  std::vector<std::vector<std::size_t>> groups(pieces_.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    DLAP_REQUIRE(static_cast<int>(points[i]->size()) == dims(),
-                 "point dimensionality mismatch");
-    if (const RegionModel* best = containing_piece(*points[i])) {
-      groups[static_cast<std::size_t>(best - pieces_.data())].push_back(i);
-    } else {
-      out[i] = evaluate_projected(*points[i]);
-    }
-  }
-  std::vector<const std::vector<double>*> batch;
-  std::vector<SampleStats> batch_out;
-  for (std::size_t p = 0; p < groups.size(); ++p) {
-    if (groups[p].empty()) continue;
-    batch.clear();
-    for (std::size_t i : groups[p]) batch.push_back(points[i]);
-    pieces_[p].poly.evaluate_many(batch, batch_out);
-    for (std::size_t j = 0; j < groups[p].size(); ++j) {
-      out[groups[p][j]] = batch_out[j];
-    }
-  }
-}
-
 double PiecewiseModel::average_error() const {
   double wsum = 0.0;
   double esum = 0.0;

@@ -13,6 +13,10 @@
 // per axis instead of a linear scan over all pieces. The index is built on
 // first evaluate() and is semantically invisible -- results are
 // bit-identical to the linear most-accurate-containing-region scan.
+//
+// A point inside some region is evaluated without allocating: the index
+// lookup, then VecPolynomial's one-pass kernel over the process-wide
+// monomial table of the region's (dims, degree).
 
 #include <atomic>
 #include <vector>
@@ -55,13 +59,6 @@ class PiecewiseModel {
   /// the model never extrapolates wildly.
   [[nodiscard]] SampleStats evaluate(const std::vector<double>& point) const;
   [[nodiscard]] SampleStats evaluate(const std::vector<index_t>& point) const;
-
-  /// Batched evaluation: out[i] bit-identical to evaluate(*points[i]).
-  /// Points are grouped by winning region, so each region's polynomial is
-  /// evaluated over its whole batch with shared scratch buffers (and the
-  /// region index is consulted once per point, never rebuilt).
-  void evaluate_many(const std::vector<const std::vector<double>*>& points,
-                     std::vector<SampleStats>& out) const;
 
   /// Sample-count-weighted average of the per-region mean relative errors
   /// (the "average error" axis of the paper's Fig III.8).

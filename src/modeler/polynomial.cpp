@@ -1,7 +1,8 @@
 #include "modeler/polynomial.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
+#include <mutex>
 
 namespace dlap {
 
@@ -18,6 +19,32 @@ void gen_exponents(int dims, int remaining_degree, std::vector<int>& cur,
     cur.pop_back();
   }
 }
+
+/// One slot per (dims, degree) of monomial_exponents. Slots are created on
+/// first use and never destroyed, so a table outlives every polynomial
+/// pointing into it, static destructors included.
+struct ExponentSlot {
+  std::once_flag built;
+  std::vector<std::uint8_t> exponents;
+};
+
+ExponentSlot& exponent_slot(int dims, int degree) {
+  static ExponentSlot* const slots =
+      new ExponentSlot[static_cast<std::size_t>(kMaxDims) * (kMaxDegree + 1)];
+  return slots[static_cast<std::size_t>(dims - 1) * (kMaxDegree + 1) +
+               static_cast<std::size_t>(degree)];
+}
+
+void require_shape(int dims, int degree, const Normalization& norm) {
+  DLAP_REQUIRE(dims >= 1 && dims <= kMaxDims,
+               "polynomial dims outside [1, kMaxDims]");
+  DLAP_REQUIRE(degree >= 0 && degree <= kMaxDegree,
+               "polynomial degree outside [0, kMaxDegree]");
+  DLAP_REQUIRE(norm.shift.size() == static_cast<std::size_t>(dims) &&
+                   norm.scale.size() == static_cast<std::size_t>(dims),
+               "normalization does not match polynomial dims");
+}
+
 }  // namespace
 
 std::vector<std::vector<int>> monomial_basis(int dims, int degree) {
@@ -47,59 +74,39 @@ index_t monomial_count(int dims, int degree) {
   return count;
 }
 
-std::vector<double> Normalization::apply(const std::vector<double>& x) const {
-  std::vector<double> z;
-  apply_into(x, z);
-  return z;
+std::span<const std::uint8_t> monomial_exponents(int dims, int degree) {
+  DLAP_REQUIRE(dims >= 1 && dims <= kMaxDims && degree >= 0 &&
+                   degree <= kMaxDegree,
+               "monomial table outside 1 <= dims <= kMaxDims, "
+               "0 <= degree <= kMaxDegree");
+  ExponentSlot& slot = exponent_slot(dims, degree);
+  std::call_once(slot.built, [&slot, dims, degree] {
+    const std::vector<std::vector<int>> basis = monomial_basis(dims, degree);
+    slot.exponents.reserve(basis.size() * static_cast<std::size_t>(dims));
+    for (const std::vector<int>& e : basis) {
+      slot.exponents.insert(slot.exponents.end(), e.begin(), e.end());
+    }
+  });
+  return slot.exponents;
 }
 
-void Normalization::apply_into(const std::vector<double>& x,
-                               std::vector<double>& z) const {
+void Normalization::apply_into(std::span<const double> x,
+                               std::span<double> z) const {
   DLAP_REQUIRE(x.size() == shift.size() && x.size() == scale.size(),
                "normalization dimension mismatch");
-  z.resize(x.size());
+  DLAP_REQUIRE(z.size() >= x.size(), "normalization scratch too small");
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double s = (scale[i] != 0.0) ? scale[i] : 1.0;
     z[i] = (x[i] - shift[i]) / s;
   }
 }
 
-void evaluate_basis(const std::vector<std::vector<int>>& basis,
-                    const std::vector<double>& z, std::vector<double>& out) {
-  out.resize(basis.size());
-  for (std::size_t m = 0; m < basis.size(); ++m) {
-    double v = 1.0;
-    for (std::size_t d = 0; d < basis[m].size(); ++d) {
-      for (int e = 0; e < basis[m][d]; ++e) v *= z[d];
-    }
-    out[m] = v;
-  }
-}
-
-Polynomial::Polynomial(int dims, int degree, Normalization norm,
-                       std::vector<double> coeffs)
-    : dims_(dims), degree_(degree), norm_(std::move(norm)),
-      coeffs_(std::move(coeffs)) {
-  DLAP_REQUIRE(static_cast<index_t>(coeffs_.size()) ==
-                   monomial_count(dims, degree),
-               "coefficient count does not match basis");
-}
-
-double Polynomial::evaluate(const std::vector<double>& x) const {
-  const std::vector<double> z = norm_.apply(x);
-  const auto basis = monomial_basis(dims_, degree_);
-  std::vector<double> phi;
-  evaluate_basis(basis, z, phi);
-  double v = 0.0;
-  for (std::size_t m = 0; m < phi.size(); ++m) v += coeffs_[m] * phi[m];
-  return v;
-}
-
 VecPolynomial::VecPolynomial(int dims, int degree, Normalization norm,
                              std::vector<std::vector<double>> coeffs_per_stat)
-    : dims_(dims), degree_(degree), norm_(std::move(norm)),
-      ncoef_(static_cast<std::size_t>(monomial_count(dims, degree))),
-      basis_(monomial_basis(dims, degree)) {
+    : dims_(dims), degree_(degree), norm_(std::move(norm)) {
+  require_shape(dims_, degree_, norm_);
+  exps_ = monomial_exponents(dims_, degree_).data();
+  ncoef_ = static_cast<std::size_t>(monomial_count(dims_, degree_));
   DLAP_REQUIRE(coeffs_per_stat.size() == static_cast<std::size_t>(kStatCount),
                "need one coefficient vector per statistic");
   owned_.reserve(static_cast<std::size_t>(kStatCount) * ncoef_);
@@ -112,15 +119,16 @@ VecPolynomial::VecPolynomial(int dims, int degree, Normalization norm,
 
 VecPolynomial::VecPolynomial(int dims, int degree, Normalization norm,
                              const double* table, Borrow)
-    : dims_(dims), degree_(degree), norm_(std::move(norm)), table_(table),
-      ncoef_(static_cast<std::size_t>(monomial_count(dims, degree))),
-      basis_(monomial_basis(dims, degree)) {
+    : dims_(dims), degree_(degree), norm_(std::move(norm)), table_(table) {
+  require_shape(dims_, degree_, norm_);
   DLAP_REQUIRE(table != nullptr, "borrowed coefficient table is null");
+  exps_ = monomial_exponents(dims_, degree_).data();
+  ncoef_ = static_cast<std::size_t>(monomial_count(dims_, degree_));
 }
 
 VecPolynomial::VecPolynomial(const VecPolynomial& other)
     : dims_(other.dims_), degree_(other.degree_), norm_(other.norm_),
-      ncoef_(other.ncoef_), basis_(other.basis_) {
+      ncoef_(other.ncoef_), exps_(other.exps_) {
   // Copies always own: a borrowed table's lifetime contract is tied to
   // the original (whose owner pins the mapping), not to copies handed
   // around by value.
@@ -134,12 +142,13 @@ VecPolynomial::VecPolynomial(const VecPolynomial& other)
 VecPolynomial::VecPolynomial(VecPolynomial&& other) noexcept
     : dims_(other.dims_), degree_(other.degree_), norm_(std::move(other.norm_)),
       owned_(std::move(other.owned_)), table_(other.table_),
-      ncoef_(other.ncoef_), basis_(std::move(other.basis_)) {
+      ncoef_(other.ncoef_), exps_(other.exps_) {
   // Moving a vector keeps its heap buffer address, so table_ stays valid
   // for the owned case and still points at the external storage for the
   // borrowed one.
   other.table_ = nullptr;
   other.ncoef_ = 0;
+  other.exps_ = nullptr;
 }
 
 VecPolynomial& VecPolynomial::operator=(const VecPolynomial& other) {
@@ -155,54 +164,50 @@ VecPolynomial& VecPolynomial::operator=(VecPolynomial&& other) noexcept {
     owned_ = std::move(other.owned_);
     table_ = other.table_;
     ncoef_ = other.ncoef_;
-    basis_ = std::move(other.basis_);
+    exps_ = other.exps_;
     other.table_ = nullptr;
     other.ncoef_ = 0;
+    other.exps_ = nullptr;
   }
   return *this;
 }
 
-SampleStats VecPolynomial::evaluate_into(const std::vector<double>& x,
-                                         std::vector<double>& z,
-                                         std::vector<double>& phi) const {
+// The evaluation kernel. Normalization's size check bounds x by the
+// normalization, which the constructors bound by kMaxDims (and which is
+// empty when the polynomial has no monomials), so the scratch never
+// overflows; the accumulation order is the two-pass form's, see the
+// class comment.
+SampleStats VecPolynomial::evaluate(const std::vector<double>& x) const {
+  std::array<double, kMaxDims> z{};
   norm_.apply_into(x, z);
-  evaluate_basis(basis_, z, phi);
+  std::array<double, kStatCount> sum{};
+  const std::uint8_t* e = exps_;
+  for (std::size_t m = 0; m < ncoef_; ++m, e += dims_) {
+    const double phi = monomial_value(e, z.data(), dims_);
+    for (int s = 0; s < kStatCount; ++s) {
+      sum[static_cast<std::size_t>(s)] +=
+          table_[static_cast<std::size_t>(s) * ncoef_ + m] * phi;
+    }
+  }
   SampleStats out;
   for (int s = 0; s < kStatCount; ++s) {
-    double v = 0.0;
-    const double* c = table_ + static_cast<std::size_t>(s) * ncoef_;
-    for (std::size_t m = 0; m < phi.size(); ++m) v += c[m] * phi[m];
-    out.set(static_cast<Stat>(s), std::max(0.0, v));
+    out.set(static_cast<Stat>(s),
+            std::max(0.0, sum[static_cast<std::size_t>(s)]));
   }
   out.count = 0;  // model estimate, not a measurement
   return out;
 }
 
-SampleStats VecPolynomial::evaluate(const std::vector<double>& x) const {
-  std::vector<double> z;
-  std::vector<double> phi;
-  return evaluate_into(x, z, phi);
-}
-
-void VecPolynomial::evaluate_many(
-    const std::vector<const std::vector<double>*>& points,
-    std::vector<SampleStats>& out) const {
-  out.resize(points.size());
-  std::vector<double> z;
-  std::vector<double> phi;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    out[i] = evaluate_into(*points[i], z, phi);
-  }
-}
-
 double VecPolynomial::evaluate_stat(Stat s,
                                     const std::vector<double>& x) const {
-  const std::vector<double> z = norm_.apply(x);
-  std::vector<double> phi;
-  evaluate_basis(basis_, z, phi);
-  double v = 0.0;
+  std::array<double, kMaxDims> z{};
+  norm_.apply_into(x, z);
   const double* c = table_ + static_cast<std::size_t>(s) * ncoef_;
-  for (std::size_t m = 0; m < phi.size(); ++m) v += c[m] * phi[m];
+  double v = 0.0;
+  const std::uint8_t* e = exps_;
+  for (std::size_t m = 0; m < ncoef_; ++m, e += dims_) {
+    v += c[m] * monomial_value(e, z.data(), dims_);
+  }
   return v;
 }
 

@@ -215,7 +215,7 @@ RoutineModel ModelRepository::deserialize(const std::string& text,
     m.average_error = parse_double(expect_kv("average_error"));
 
     const long long dims_read = parse_int(expect_kv("dims"));
-    DLAP_REQUIRE(dims_read >= 1 && dims_read <= 8,
+    DLAP_REQUIRE(dims_read >= 1 && dims_read <= kMaxDims,
                  "model file: implausible dims");
     const int dims = static_cast<int>(dims_read);
     const auto ndims = static_cast<std::size_t>(dims);

@@ -111,15 +111,12 @@ void CompiledTrace::Builder::add(RoutineId routine,
         key_ids_.try_emplace(probe.key, static_cast<int>(out_.keys_.size()));
     if (new_key) {
       out_.keys_.push_back({routine, std::string(flags.begin(), flags.end())});
-      out_.key_entries_.emplace_back();
     }
     CompiledCall entry;
     entry.key = key_it->second;
     entry.sizes.assign(sizes.begin(), sizes.end());
     entry.point.assign(sizes.begin(), sizes.end());
     entry.flops = call_flops(routine, flags, sizes);
-    out_.key_entries_[static_cast<std::size_t>(entry.key)].push_back(
-        static_cast<std::uint32_t>(entry_it->second));
     out_.entries_.push_back(std::move(entry));
   }
   ++out_.entries_[static_cast<std::size_t>(entry_it->second)].multiplicity;
@@ -182,29 +179,19 @@ Prediction CompiledTrace::predict(
   DLAP_REQUIRE(models_by_key.size() == keys_.size(),
                "CompiledTrace::predict: one model slot per key");
 
-  // Evaluate every unique entry once, batched per key so one model's
-  // region index and polynomial basis serve the whole batch.
+  // Evaluate every unique entry once, straight into its estimate.
   std::vector<SampleStats> est(entries_.size());
-  std::vector<const std::vector<double>*> batch;
-  std::vector<SampleStats> batch_out;
-  for (std::size_t k = 0; k < keys_.size(); ++k) {
-    const RoutineModel* model = models_by_key[k];
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    const RoutineModel* model =
+        models_by_key[static_cast<std::size_t>(entries_[i].key)];
     if (model == nullptr) continue;  // occurrences counted missing below
-    const auto& idxs = key_entries_[k];
-    batch.clear();
-    batch.reserve(idxs.size());
-    for (std::uint32_t e : idxs) {
-      batch.push_back(&entries_[e].point);
-    }
-    model->model.evaluate_many(batch, batch_out);
-    for (std::size_t j = 0; j < idxs.size(); ++j) {
-      est[idxs[j]] = batch_out[j];
-    }
+    est[i] = model->model.evaluate(entries_[i].point);
   }
 
   // Accumulate the cached estimates in source-call order: the plain
-  // per-call loop, with the model evaluation replaced by an array read. This -- not multiplicity-scaled folding -- is what keeps the
-  // result bit-identical for arbitrary model values.
+  // per-call loop, with the model evaluation replaced by an array read.
+  // This -- not multiplicity-scaled folding -- is what keeps the result
+  // bit-identical for arbitrary model values.
   Prediction out;
   double var_sum = 0.0;
   for (const std::int32_t o : order_) {

@@ -14,9 +14,10 @@
 //   - entries: the unique (key, size point) calls, each carrying its
 //              multiplicity and precomputed flop count,
 //   - order:   per source call, the entry it deduped into (or "skipped"),
-// so prediction evaluates each model at each unique point ONCE (batched
-// per key through PiecewiseModel::evaluate_many) and then accumulates the
-// cached estimates over the original call order.
+// so prediction evaluates each model at each unique point ONCE, straight
+// into that entry's estimate (PiecewiseModel::evaluate, which allocates
+// nothing), and then accumulates the estimates over the original call
+// order.
 //
 // One compiler, CompiledTrace::Builder, does the dedupe one call at a
 // time on fixed-size values, allocating only per unique entry. It has two
@@ -112,12 +113,6 @@ class CompiledTrace {
   [[nodiscard]] const std::vector<CompiledCall>& entries() const noexcept {
     return entries_;
   }
-  /// Entry indices per key (evaluation batches).
-  [[nodiscard]] const std::vector<std::uint32_t>& entries_of(
-      int key) const {
-    return key_entries_.at(static_cast<std::size_t>(key));
-  }
-
   /// Calls in the source trace.
   [[nodiscard]] index_t source_calls() const noexcept {
     return source_calls_;
@@ -147,7 +142,6 @@ class CompiledTrace {
  private:
   std::vector<CompiledKey> keys_;
   std::vector<CompiledCall> entries_;
-  std::vector<std::vector<std::uint32_t>> key_entries_;
   std::vector<std::int32_t> order_;  ///< see source_order()
   index_t source_calls_ = 0;
   index_t skipped_ = 0;

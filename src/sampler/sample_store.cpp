@@ -67,7 +67,7 @@ bool SampleStore::parse_journal_line(std::string_view line,
   std::string_view tag;
   std::size_t dims = 0;
   if (!in.read_word(&tag) || tag != "p" || !in.read(&dims) || dims == 0 ||
-      dims > 8) {
+      dims > static_cast<std::size_t>(kMaxDims)) {
     return false;
   }
   point->resize(dims);

@@ -13,7 +13,6 @@ namespace {
 constexpr std::size_t kHeaderSize = 80;
 constexpr std::size_t kModelEntrySize = 72;
 constexpr std::size_t kSampleEntrySize = 32;
-constexpr int kMaxDims = 8;
 
 // ------------------------------------------------------------- emitters
 

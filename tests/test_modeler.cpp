@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <latch>
 #include <random>
 #include <set>
+#include <thread>
 
 #include "modeler/fit.hpp"
 #include "modeler/lstsq.hpp"
@@ -21,6 +24,7 @@
 #include "common/matrix_util.hpp"
 #include "common/rng.hpp"
 #include "reference_codecs.hpp"
+#include "reference_polynomial.hpp"
 
 namespace dlap {
 namespace {
@@ -64,26 +68,253 @@ TEST(Monomials, BasisIsGradedAndComplete) {
   }
 }
 
-TEST(Polynomial, EvaluatesKnownCoefficients) {
-  // p(x) = 1 + 2z + 3z^2 with z = (x - 10) / 5.
-  Normalization norm{{10.0}, {5.0}};
-  Polynomial p(1, 2, norm, {1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(p.evaluate({10.0}), 1.0);   // z=0
-  EXPECT_DOUBLE_EQ(p.evaluate({15.0}), 6.0);   // z=1
-  EXPECT_DOUBLE_EQ(p.evaluate({5.0}), 2.0);    // z=-1
+/// The same coefficients in every statistic row.
+std::vector<std::vector<double>> every_stat(std::vector<double> row) {
+  return std::vector<std::vector<double>>(kStatCount, std::move(row));
 }
 
-TEST(Polynomial, TwoDimensionalCrossTerm) {
+/// Every statistic of p at x equals `want` (evaluate and evaluate_stat).
+void expect_every_stat(const VecPolynomial& p, const std::vector<double>& x,
+                       double want) {
+  const SampleStats s = p.evaluate(x);
+  for (int k = 0; k < kStatCount; ++k) {
+    EXPECT_DOUBLE_EQ(s.get(static_cast<Stat>(k)), want);
+    EXPECT_DOUBLE_EQ(p.evaluate_stat(static_cast<Stat>(k), x), want);
+  }
+}
+
+TEST(VecPolynomial, EvaluatesKnownCoefficients) {
+  // p(x) = 1 + 2z + 3z^2 with z = (x - 10) / 5.
+  Normalization norm{{10.0}, {5.0}};
+  const VecPolynomial p(1, 2, norm, every_stat({1.0, 2.0, 3.0}));
+  expect_every_stat(p, {10.0}, 1.0);   // z=0
+  expect_every_stat(p, {15.0}, 6.0);   // z=1
+  expect_every_stat(p, {5.0}, 2.0);    // z=-1
+}
+
+TEST(VecPolynomial, TwoDimensionalCrossTerm) {
   // Basis order for dims=2, degree=2: 1, y, x, y^2, xy, x^2 (graded-lex
   // with exponent vectors (0,0),(0,1),(1,0),(0,2),(1,1),(2,0)).
   Normalization norm{{0.0, 0.0}, {1.0, 1.0}};
-  Polynomial p(2, 2, norm, {0, 0, 0, 0, 1.0, 0});
-  EXPECT_DOUBLE_EQ(p.evaluate({3.0, 4.0}), 12.0);
+  const VecPolynomial p(2, 2, norm, every_stat({0, 0, 0, 0, 1.0, 0}));
+  expect_every_stat(p, {3.0, 4.0}, 12.0);
 }
 
-TEST(Polynomial, CoefficientCountValidated) {
+TEST(VecPolynomial, CoefficientCountValidated) {
   Normalization norm{{0.0}, {1.0}};
-  EXPECT_THROW(Polynomial(1, 2, norm, {1.0, 2.0}), invalid_argument_error);
+  EXPECT_THROW(VecPolynomial(1, 2, norm, every_stat({1.0, 2.0})),
+               invalid_argument_error);
+}
+
+TEST(VecPolynomial, RejectsMoreThanKMaxDims) {
+  const auto norm = [](int dims) {
+    return Normalization{std::vector<double>(dims, 0.0),
+                         std::vector<double>(dims, 1.0)};
+  };
+  const std::vector<double> table(kStatCount, 1.0);  // degree 0: 1 monomial
+  EXPECT_NO_THROW(
+      VecPolynomial(kMaxDims, 0, norm(kMaxDims), every_stat({1.0})));
+  EXPECT_NO_THROW(VecPolynomial(kMaxDims, 0, norm(kMaxDims), table.data(),
+                                VecPolynomial::Borrow{}));
+  EXPECT_THROW(VecPolynomial(kMaxDims + 1, 0, norm(kMaxDims + 1),
+                             every_stat({1.0})),
+               invalid_argument_error);
+  EXPECT_THROW(VecPolynomial(kMaxDims + 1, 0, norm(kMaxDims + 1),
+                             table.data(), VecPolynomial::Borrow{}),
+               invalid_argument_error);
+  // So are degrees past the readers' bound and a normalization of the
+  // wrong length.
+  EXPECT_THROW(VecPolynomial(1, kMaxDegree + 1, norm(1),
+                             every_stat(std::vector<double>(
+                                 static_cast<std::size_t>(
+                                     monomial_count(1, kMaxDegree + 1))))),
+               invalid_argument_error);
+  EXPECT_THROW(VecPolynomial(2, 0, norm(1), every_stat({1.0})),
+               invalid_argument_error);
+}
+
+TEST(MonomialTable, FlattensMonomialBasisOncePerShape) {
+  for (int dims = 1; dims <= kMaxDims; ++dims) {
+    for (int degree = 0; degree <= 3; ++degree) {
+      const auto table = monomial_exponents(dims, degree);
+      std::vector<std::uint8_t> want;
+      for (const std::vector<int>& e : monomial_basis(dims, degree)) {
+        want.insert(want.end(), e.begin(), e.end());
+      }
+      EXPECT_EQ(std::vector<std::uint8_t>(table.begin(), table.end()), want);
+      EXPECT_EQ(monomial_exponents(dims, degree).data(), table.data());
+    }
+  }
+  EXPECT_THROW((void)monomial_exponents(0, 1), invalid_argument_error);
+  EXPECT_THROW((void)monomial_exponents(kMaxDims + 1, 1),
+               invalid_argument_error);
+  EXPECT_THROW((void)monomial_exponents(1, kMaxDegree + 1),
+               invalid_argument_error);
+}
+
+/// Bit-for-bit agreement of the kernel with the two-pass reference, for
+/// evaluate and for every evaluate_stat.
+void expect_matches_reference(const VecPolynomial& p,
+                              const std::vector<double>& x) {
+  const std::array<double, kStatCount> sums = reference::polynomial_sums(p, x);
+  const auto got = p.evaluate(x).as_array();
+  const auto want = reference::evaluate_polynomial(p, x).as_array();
+  for (int s = 0; s < kStatCount; ++s) {
+    const auto k = static_cast<std::size_t>(s);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k]),
+              std::bit_cast<std::uint64_t>(want[k]))
+        << "evaluate, stat " << s << ": " << got[k] << " vs " << want[k];
+    const double one = p.evaluate_stat(static_cast<Stat>(s), x);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(one),
+              std::bit_cast<std::uint64_t>(sums[k]))
+        << "evaluate_stat, stat " << s << ": " << one << " vs " << sums[k];
+  }
+  EXPECT_EQ(p.evaluate(x).count, 0);
+}
+
+TEST(VecPolynomial, KernelMatchesTwoPassReferenceBitForBit) {
+  std::mt19937_64 rng(0x5eed2026u);
+  std::uniform_real_distribution<double> unit(-1.0, 1.0);
+  for (int dims = 1; dims <= kMaxDims; ++dims) {
+    const int max_degree = dims <= 2 ? kMaxDegree : 4;
+    for (int degree = 0; degree <= max_degree; ++degree) {
+      SCOPED_TRACE("dims " + std::to_string(dims) + ", degree " +
+                   std::to_string(degree));
+      Normalization norm;
+      for (int d = 0; d < dims; ++d) {
+        norm.shift.push_back(std::round(300.0 * unit(rng)) +
+                             (d % 2 == 0 ? 0.0 : 0.25));
+        // A scale of 0 normalizes by 1; include one in most shapes.
+        norm.scale.push_back((dims + degree + d) % 3 == 0
+                                 ? 0.0
+                                 : 1.0 + 200.0 * std::abs(unit(rng)));
+      }
+      const auto ncoef =
+          static_cast<std::size_t>(monomial_count(dims, degree));
+      std::vector<double> table(kStatCount * ncoef);
+      for (double& c : table) {
+        c = unit(rng) * std::pow(10.0, static_cast<int>(rng() % 9) - 4);
+      }
+      std::vector<std::vector<double>> rows(kStatCount);
+      for (int s = 0; s < kStatCount; ++s) {
+        rows[static_cast<std::size_t>(s)].assign(
+            table.begin() + static_cast<std::ptrdiff_t>(s * ncoef),
+            table.begin() + static_cast<std::ptrdiff_t>((s + 1) * ncoef));
+      }
+
+      const VecPolynomial owned(dims, degree, norm, rows);
+      const VecPolynomial borrowed(dims, degree, norm, table.data(),
+                                   VecPolynomial::Borrow{});
+      const VecPolynomial copied = borrowed;  // owns a copy of the table
+      VecPolynomial source = owned;
+      const VecPolynomial moved = std::move(source);
+      VecPolynomial assigned;
+      assigned = borrowed;
+      EXPECT_FALSE(borrowed.owns_coefficients());
+      EXPECT_TRUE(copied.owns_coefficients());
+      const std::array<const VecPolynomial*, 5> all{&owned, &borrowed,
+                                                    &copied, &moved,
+                                                    &assigned};
+      const std::uint8_t* shared = monomial_exponents(dims, degree).data();
+      for (const VecPolynomial* p : all) {
+        EXPECT_EQ(p->exponents().data(), shared);
+      }
+
+      for (int q = 0; q < 12; ++q) {
+        std::vector<double> x(static_cast<std::size_t>(dims));
+        for (int d = 0; d < dims; ++d) {
+          const double near = norm.shift[static_cast<std::size_t>(d)] +
+                              std::round(150.0 * unit(rng));
+          switch (q % 4) {
+            case 0: x[d] = std::round(near); break;           // lattice
+            case 1: x[d] = near + 0.37 * unit(rng); break;     // fractional
+            case 2: x[d] = -std::round(500.0 * std::abs(unit(rng))); break;
+            default: x[d] = near + 1000.0 * unit(rng); break;  // far out
+          }
+        }
+        for (const VecPolynomial* p : all) expect_matches_reference(*p, x);
+      }
+    }
+  }
+}
+
+TEST(VecPolynomial, EmptyAndMovedFromEvaluateEmptyPointsToZeros) {
+  const auto expect_empty = [](const VecPolynomial& p, int dims) {
+    EXPECT_TRUE(p.exponents().empty());
+    for (double v : p.evaluate({}).as_array()) EXPECT_EQ(v, 0.0);
+    EXPECT_EQ(p.evaluate_stat(Stat::Median, {}), 0.0);
+    EXPECT_THROW((void)p.evaluate(std::vector<double>(dims, 1.0)),
+                 invalid_argument_error);
+    EXPECT_THROW((void)p.evaluate_stat(Stat::Max,
+                                       std::vector<double>(dims, 1.0)),
+                 invalid_argument_error);
+  };
+  expect_empty(VecPolynomial(), 1);
+
+  Normalization norm{{1.0, 2.0}, {3.0, 4.0}};
+  VecPolynomial constructed_from(2, 3, norm,
+                                 every_stat(std::vector<double>(10, 1.5)));
+  const VecPolynomial constructed = std::move(constructed_from);
+  expect_empty(constructed_from, 2);  // moved-from
+  VecPolynomial assigned_from = constructed;
+  VecPolynomial assigned;
+  assigned = std::move(assigned_from);
+  expect_empty(assigned_from, 2);  // moved-from
+  expect_matches_reference(assigned, {5.0, 6.0});
+}
+
+// 8 threads race on the first use of a (dims, degree) table that no other
+// test in this binary touches: each builds a polynomial of that shape
+// (owned or borrowed) and evaluates it. All must get the one table, and
+// identical results.
+TEST(MonomialTable, RacingFirstUsersShareOneTable) {
+  constexpr int kDims = 6;
+  constexpr int kDegree = 5;
+  constexpr int kThreads = 8;
+  const auto ncoef = static_cast<std::size_t>(monomial_count(kDims, kDegree));
+  std::vector<double> table(kStatCount * ncoef);
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    table[i] = std::sin(static_cast<double>(i)) * 10.0;
+  }
+  const Normalization norm{std::vector<double>(kDims, 3.0),
+                           std::vector<double>(kDims, 2.5)};
+  const std::vector<double> x{4.0, 1.0, 7.5, 3.0, 2.0, 5.0};
+
+  std::vector<const std::uint8_t*> seen(kThreads, nullptr);
+  std::vector<SampleStats> results(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      std::vector<std::vector<double>> rows(kStatCount);
+      for (int s = 0; s < kStatCount; ++s) {
+        rows[static_cast<std::size_t>(s)].assign(
+            table.begin() + static_cast<std::ptrdiff_t>(s * ncoef),
+            table.begin() + static_cast<std::ptrdiff_t>((s + 1) * ncoef));
+      }
+      const VecPolynomial p =
+          i % 2 == 0 ? VecPolynomial(kDims, kDegree, norm, std::move(rows))
+                     : VecPolynomial(kDims, kDegree, norm, table.data(),
+                                     VecPolynomial::Borrow{});
+      seen[static_cast<std::size_t>(i)] = p.exponents().data();
+      results[static_cast<std::size_t>(i)] = p.evaluate(x);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const VecPolynomial p(kDims, kDegree, norm, table.data(),
+                        VecPolynomial::Borrow{});
+  const auto want = reference::evaluate_polynomial(p, x).as_array();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(seen[static_cast<std::size_t>(i)],
+              monomial_exponents(kDims, kDegree).data());
+    const auto got = results[static_cast<std::size_t>(i)].as_array();
+    for (std::size_t s = 0; s < got.size(); ++s) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[s]),
+                std::bit_cast<std::uint64_t>(want[s]));
+    }
+  }
 }
 
 TEST(VecPolynomial, ClampsNegativeEstimatesToZero) {
@@ -625,6 +856,56 @@ TEST(Repository, ImplausibleCountsAreParseErrorsNamingTheLine) {
             << what;
       }
     }
+  }
+}
+
+// The text reader accepts kMaxDims dimensions and rejects one more: the
+// same model text widened by one coordinate is a parse error naming the
+// dims line.
+TEST(Repository, ModelTextRejectsMoreThanKMaxDims) {
+  const std::vector<index_t> lo(kMaxDims, 1), hi(kMaxDims, 4);
+  std::vector<RegionModel> pieces;
+  pieces.push_back(make_constant_piece(Region(lo, hi), 2.5, 0.01));
+  RoutineModel m;
+  m.key = {"dgemm", "blocked", Locality::InCache, "NN"};
+  m.model = PiecewiseModel(Region(lo, hi), std::move(pieces));
+  const std::string text = ModelRepository::serialize(m);
+  EXPECT_EQ(ModelRepository::deserialize(text).model.dims(), kMaxDims);
+
+  std::string wide;
+  std::size_t dims_line = 0;
+  std::size_t lineno = 0;
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t nl = text.find('\n', pos);
+    std::string line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    ++lineno;
+    const auto starts = [&](const char* prefix) {
+      return line.rfind(prefix, 0) == 0;
+    };
+    if (starts("dims ")) {
+      line = "dims " + std::to_string(kMaxDims + 1);
+      dims_line = lineno;
+    } else if (starts("domain") || starts("  bounds")) {
+      line += " 1 4";
+    } else if (starts("  shift")) {
+      line += " 0";
+    } else if (starts("  scale")) {
+      line += " 1";
+    }
+    wide += line + "\n";
+  }
+  ASSERT_NE(dims_line, 0u);
+  try {
+    (void)ModelRepository::deserialize(wide, "m.model");
+    ADD_FAILURE() << "a model of kMaxDims + 1 dims was accepted";
+  } catch (const parse_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("m.model:" + std::to_string(dims_line) + ":"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("implausible dims"), std::string::npos) << what;
   }
 }
 

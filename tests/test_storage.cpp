@@ -323,6 +323,30 @@ TEST(Container, StringRefPastStringTableRejected) {
   EXPECT_THROW((void)open_image(std::move(image)), container_error);
 }
 
+// Index entries of more than kMaxDims dimensions are damage, for models
+// (dims @36 of a model entry, after 4 string refs and the locality) and
+// sample sections (dims @8, after the key's string ref).
+TEST(Container, MoreThanKMaxDimsRejected) {
+  const auto expect_rejected = [](std::uint64_t header_field,
+                                  std::size_t dims_at) {
+    std::vector<std::byte> image = test_image();
+    std::uint64_t index_offset = 0;
+    std::memcpy(&index_offset, image.data() + header_field, 8);
+    const auto too_many = static_cast<std::uint32_t>(kMaxDims + 1);
+    std::memcpy(image.data() + index_offset + dims_at, &too_many, 4);
+    try {
+      (void)open_image(std::move(image));
+      ADD_FAILURE() << "dims " << too_many << " accepted";
+    } catch (const container_error& e) {
+      EXPECT_NE(std::string(e.what()).find("implausible dims"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(40, 36);  // model index offset @40 of the header
+  expect_rejected(56, 8);   // sample index offset @56 of the header
+}
+
 TEST(Container, EmptyAndTinyFilesRejected) {
   EXPECT_THROW((void)open_image({}), container_error);
   EXPECT_THROW((void)open_image(std::vector<std::byte>(16)), container_error);
