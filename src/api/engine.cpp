@@ -58,8 +58,9 @@ void take_predictions(
 
 Engine::Engine(EngineConfig config)
     : config_(std::move(config)),
-      trace_cache_(static_cast<std::size_t>(
+      compiled_traces_(static_cast<std::size_t>(
           std::max<index_t>(0, config_.trace_cache_capacity))),
+      sweep_points_(compiled_traces_.capacity()),
       service_(config_.service) {}
 
 Engine::~Engine() {
@@ -105,10 +106,10 @@ Engine::PlanFn Engine::spec_plan(std::vector<OperationSpec> specs,
 // ------------------------------------------------------------ compilation
 
 std::shared_ptr<CompiledSweepPoint> Engine::make_point(
-    CompiledTrace compiled, const SystemSpec& system) {
+    std::shared_ptr<const CompiledTrace> compiled, const SystemSpec& system) {
   std::vector<int> ids;
-  ids.reserve(compiled.keys().size());
-  for (const CompiledKey& key : compiled.keys()) {
+  ids.reserve(compiled->keys().size());
+  for (const CompiledKey& key : compiled->keys()) {
     // One interner probe per DISTINCT key of the trace, not per call --
     // and a heterogeneous one: no temporary ModelKey strings.
     ids.push_back(interner_.intern(ModelKeyRef{routine_name(key.routine),
@@ -123,11 +124,17 @@ std::shared_ptr<CompiledSweepPoint> Engine::compile_spec(
     const OperationSpec& spec, const OperationDescriptor& family,
     const SystemSpec& system) {
   const index_t m = family.size_axes >= 2 ? spec.m : 0;
-  const SweepPointKey key{spec.op,        spec.variant,   m, spec.n,
-                          spec.blocksize, system.backend, system.locality};
-  if (auto hit = trace_cache_.find(key)) return hit;
-  auto point = make_point(spec.compile(), system);
-  trace_cache_.insert(key, point);
+  const SweepPointKey key{{&family, spec.variant, m, spec.n, spec.blocksize},
+                          system.backend,
+                          system.locality};
+  if (auto hit = sweep_points_.find(key)) return hit;
+  std::shared_ptr<const CompiledTrace> trace = compiled_traces_.find(key.trace);
+  if (trace == nullptr) {
+    trace = std::make_shared<const CompiledTrace>(spec.compile());
+    compiled_traces_.insert(key.trace, trace);
+  }
+  auto point = make_point(std::move(trace), system);
+  sweep_points_.insert(key, point);
   return point;
 }
 
@@ -388,7 +395,9 @@ Result<Prediction> Engine::predict(const PredictQuery& query) noexcept {
       point = compile_spec(*query.spec, *family, system);
       plan = spec_plan({*query.spec}, system);
     } else {
-      point = make_point(CompiledTrace::compile(query.trace), system);
+      point = make_point(std::make_shared<const CompiledTrace>(
+                             CompiledTrace::compile(query.trace)),
+                         system);
       plan = [trace = &query.trace, system, policy = config_.planning] {
         return plan_jobs(*trace, system, policy);
       };
@@ -642,7 +651,7 @@ Status Engine::reload(const std::vector<OperationSpec>& specs,
     // point is queried again or evicted. Take them out of the cached
     // points, and free them after the shard and point locks are dropped.
     std::vector<std::shared_ptr<const ResolvedSlots>> expired;
-    trace_cache_.for_each([&expired](const CompiledSweepPoint& point) {
+    sweep_points_.for_each([&expired](const CompiledSweepPoint& point) {
       if (auto slots = point.take_slots()) expired.push_back(std::move(slots));
     });
     expired.clear();

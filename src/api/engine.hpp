@@ -21,14 +21,16 @@
 //     CompiledTrace (deduped calls, predict/compiled_trace.hpp) with its
 //     resolver keys interned to dense ids (api/intern.hpp) and its models
 //     held in a versioned slot snapshot. A spec compiles as its blocked
-//     algorithm runs (OperationSpec::compile), with no CallTrace built;
-//     compiled points are cached in a sharded LRU keyed by (family,
-//     variant, sizes, blocksize, system) (api/trace_cache.hpp), so a
-//     repeated or overlapping sweep skips compilation, interning and
-//     model resolution. A
-//     slot snapshot also keeps the prediction its models imply, computed
-//     on first read by evaluating each model once per unique call, so a
-//     repeated point evaluates no model at all.
+//     algorithm runs (OperationSpec::compile), with no CallTrace built.
+//     Two sharded LRUs cache the work (api/trace_cache.hpp): compiled
+//     traces keyed by (family, variant, sizes, blocksize) alone, shared
+//     by every system, and sweep points keyed by that plus the system
+//     (backend, locality). A repeated or overlapping sweep skips
+//     compilation, interning and model resolution; a known spec under a
+//     new system skips compilation. A slot snapshot also keeps the
+//     prediction its models imply, computed on first read by evaluating
+//     each model once per unique call, so a repeated point evaluates no
+//     model at all.
 
 #include <atomic>
 #include <condition_variable>
@@ -64,8 +66,9 @@ struct EngineConfig {
   /// covers too small a domain for). When false such queries fail with
   /// MissingModel / UncoveredDomain instead.
   bool generate_missing = true;
-  /// Compiled sweep points kept in the trace cache (0 disables caching;
-  /// every spec query then recompiles its trace).
+  /// Entries kept in each layer of the trace cache: compiled traces, and
+  /// sweep points (a trace under one system). 0 disables both layers;
+  /// every spec query then recompiles its trace.
   index_t trace_cache_capacity = 4096;
   /// Test/bench hook: invoked once per predict-query evaluation, after
   /// model resolution and before the prediction is read. Lets throughput
@@ -180,12 +183,13 @@ class Engine {
 
   /// Hot model reload, the dlapd admin path: re-attaches the service's
   /// binary container (picking up a repository.dlapc replaced on disk),
-  /// drops the engine's model cache, expires every compiled-trace
+  /// drops the engine's model cache, expires every sweep point's slot
   /// snapshot (version bump) and releases the snapshots the cached sweep
   /// points hold, so the previous models (and the container mapping they
-  /// borrow from) are freed once no in-flight answer holds them; the
-  /// compiled traces stay cached. Then -- when `specs` is non-empty --
-  /// it regenerates/loads the models those specs need (Engine::prepare).
+  /// borrow from) are freed once no in-flight answer holds them; both
+  /// cache layers (compiled traces, sweep points) stay. Then -- when
+  /// `specs` is non-empty -- it regenerates/loads the models those specs
+  /// need (Engine::prepare).
   /// Concurrent queries are never stalled: in-flight predictions finish
   /// on the model snapshots they pinned, later queries re-resolve from
   /// the reloaded repository. A query racing the reload may briefly
@@ -201,14 +205,24 @@ class Engine {
   /// Resolver keys interned so far.
   [[nodiscard]] std::size_t interned_keys() const { return interner_.size(); }
 
-  /// Compiled-trace cache counters (hits/misses/evictions/size).
+  /// Sweep-point cache counters (hits/misses/evictions/size): one probe
+  /// per spec a rank, tune, spec predict or prepare asks for.
   [[nodiscard]] LruStats trace_cache_stats() const {
-    return trace_cache_.stats();
+    return sweep_points_.stats();
   }
 
-  /// Drops every cached compiled sweep point (model caches are
+  /// System-free compiled-trace cache counters: one probe per sweep-point
+  /// miss, so a miss here is a spec.compile().
+  [[nodiscard]] LruStats compiled_trace_stats() const {
+    return compiled_traces_.stats();
+  }
+
+  /// Drops every cached sweep point and compiled trace (model caches are
   /// unaffected). Mainly for benchmarks that measure the cold path.
-  void clear_trace_cache() { trace_cache_.clear(); }
+  void clear_trace_cache() {
+    sweep_points_.clear();
+    compiled_traces_.clear();
+  }
 
  private:
   /// Lazily produces the modeling jobs of the current query; only invoked
@@ -226,11 +240,14 @@ class Engine {
   /// An (uncached) sweep point of a compiled trace: its resolver keys
   /// interned under `system`.
   [[nodiscard]] std::shared_ptr<CompiledSweepPoint> make_point(
-      CompiledTrace compiled, const SystemSpec& system);
+      std::shared_ptr<const CompiledTrace> compiled,
+      const SystemSpec& system);
 
-  /// Cached compilation of a spec validated against `family`: trace-cache
-  /// lookup, or spec.compile() + intern + insert on a miss. A one-axis
-  /// family's spec is keyed with m = 0, since its algorithm ignores m.
+  /// Cached compilation of a spec validated against `family`: sweep-point
+  /// lookup; on a miss, the compiled-trace lookup (spec.compile() + insert
+  /// when that misses too), then intern + insert of a new point. A
+  /// one-axis family's spec is keyed with m = 0, since its algorithm
+  /// ignores m.
   [[nodiscard]] std::shared_ptr<CompiledSweepPoint> compile_spec(
       const OperationSpec& spec, const OperationDescriptor& family,
       const SystemSpec& system);
@@ -269,8 +286,10 @@ class Engine {
   // (invalidation-on-regeneration for the compiled sweep path).
   std::atomic<std::uint64_t> model_version_{0};
 
-  // Compiled sweep points, shared across all queries of this engine.
-  mutable CompiledTraceCache trace_cache_;
+  // Compiled traces (system-free) and the sweep points built on them,
+  // shared across all queries of this engine.
+  mutable CompiledTraceCache compiled_traces_;
+  mutable SweepPointCache sweep_points_;
 
   // Outstanding submit() tasks; ~Engine waits for zero.
   std::mutex pending_mutex_;

@@ -4,15 +4,23 @@
 // A sweep (blocksize tuning, variant ranking, a predict_many burst)
 // revisits the same (family, variant, sizes, blocksize) points over and
 // over -- across the sweep's own iterations, across repeated user
-// queries, and across overlapping queries from many users. Each point's
-// work factors into three layers of decreasing volatility:
+// queries, and across overlapping queries from many users -- and often
+// under several systems (both localities, several backends, a model set
+// regenerated under a new backend name). Each point's work factors into
+// three layers of decreasing volatility:
 //
-//   1. the compiled trace                     -- fixed per sweep point,
-//   2. the interned resolver ids of its keys  -- fixed per engine,
+//   1. the compiled trace                     -- fixed per spec, whatever
+//                                                the system,
+//   2. the interned resolver ids of its keys  -- fixed per (spec, system)
+//                                                for the engine's life,
 //   3. the resolved model pointers            -- valid until some model
 //                                                is (re)generated.
 //
-// CompiledSweepPoint captures 1+2 immutably and 3 as a versioned snapshot
+// Layer 1 is system-free: a CompiledTrace names (routine, flags) keys,
+// never a backend or locality, so one trace serves every system. It lives
+// in its own sharded LRU keyed by TraceKey (CompiledTraceCache), held as
+// a shared immutable value. CompiledSweepPoint holds that shared trace
+// with layer 2 immutably and layer 3 as a versioned snapshot
 // (ResolvedSlots) stamped with the engine's model-cache version; when a
 // generation widens any model the version moves on and the snapshot is
 // rebuilt on next use (invalidation-on-regeneration); Engine::reload
@@ -21,12 +29,15 @@
 // of the compiled trace and the models, so the snapshot also keeps the
 // Prediction its models imply and that prediction's wire text
 // (write_prediction), both computed on first read. The points live in a
-// sharded LRU keyed by SweepPointKey, so a repeated or overlapping sweep
-// skips compilation (OperationSpec::compile, which runs the blocked
-// algorithm against a CompilingContext), interning, model evaluation and
-// number formatting entirely.
+// second sharded LRU keyed by SweepPointKey (SweepPointCache), so a
+// repeated or overlapping sweep skips compilation (OperationSpec::compile,
+// which runs the blocked algorithm against a CompilingContext), interning,
+// model evaluation and number formatting entirely, and a known spec under
+// a new system skips compilation. Evicting a point leaves its trace in
+// layer 1.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -38,35 +49,51 @@
 
 namespace dlap {
 
-/// Identity of one sweep point: the operation coordinates plus the system
-/// whose interned ids the compiled form carries. `m` is 0 for a one-axis
-/// family, whose algorithm ignores it, so specs differing only in `m`
-/// share one point.
-struct SweepPointKey {
-  std::string op;  ///< operation family name ("trinv", "sylv", ...)
+struct OperationDescriptor;  // ops/registry.hpp
+
+/// Identity of one compiled trace: the operation coordinates, with the
+/// validated family descriptor standing for its name (it lives as long
+/// as the registry). `m` is 0 for a one-axis family, whose algorithm
+/// ignores it, so specs differing only in `m` share one trace.
+struct TraceKey {
+  const OperationDescriptor* family = nullptr;
   int variant = 0;
   index_t m = 0;
   index_t n = 0;
   index_t blocksize = 0;
+
+  [[nodiscard]] bool operator==(const TraceKey&) const = default;
+};
+
+/// Identity of one sweep point: a compiled trace plus the system whose
+/// interned ids the point carries.
+struct SweepPointKey {
+  TraceKey trace;
   std::string backend;
   Locality locality = Locality::InCache;
 
   [[nodiscard]] bool operator==(const SweepPointKey&) const = default;
 };
 
-struct SweepPointKeyHash {
-  [[nodiscard]] std::size_t operator()(const SweepPointKey& k) const {
-    std::size_t h = std::hash<std::string>{}(k.op);
-    const auto mix = [&h](std::size_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    };
-    mix(static_cast<std::size_t>(k.variant));
-    mix(static_cast<std::size_t>(k.m));
-    mix(static_cast<std::size_t>(k.n));
-    mix(static_cast<std::size_t>(k.blocksize));
-    mix(std::hash<std::string>{}(k.backend));
-    mix(static_cast<std::size_t>(k.locality));
+struct TraceKeyHash {
+  [[nodiscard]] std::size_t operator()(const TraceKey& k) const noexcept {
+    std::size_t h = std::hash<const void*>{}(k.family);
+    mix(&h, static_cast<std::size_t>(k.variant));
+    mix(&h, static_cast<std::size_t>(k.m));
+    mix(&h, static_cast<std::size_t>(k.n));
+    mix(&h, static_cast<std::size_t>(k.blocksize));
     return h;
+  }
+  [[nodiscard]] std::size_t operator()(const SweepPointKey& k) const {
+    std::size_t h = (*this)(k.trace);
+    mix(&h, std::hash<std::string>{}(k.backend));
+    mix(&h, static_cast<std::size_t>(k.locality));
+    return h;
+  }
+
+ private:
+  static void mix(std::size_t* h, std::size_t v) noexcept {
+    *h ^= v + 0x9e3779b97f4a7c15ull + (*h << 6) + (*h >> 2);
   }
 };
 
@@ -129,15 +156,16 @@ struct ResolvedSlots {
   mutable std::string prediction_json_;
 };
 
-/// One cached sweep point: the compiled trace, its keys' interned ids
-/// (stable for the owning engine's lifetime), and the current slot
-/// snapshot.
+/// One cached sweep point: the shared compiled trace, its keys' interned
+/// ids under the point's system (stable for the owning engine's
+/// lifetime), and the current slot snapshot.
 class CompiledSweepPoint {
  public:
-  CompiledSweepPoint(CompiledTrace trace, std::vector<int> ids)
+  CompiledSweepPoint(std::shared_ptr<const CompiledTrace> trace,
+                     std::vector<int> ids)
       : trace_(std::move(trace)), ids_(std::move(ids)) {}
 
-  [[nodiscard]] const CompiledTrace& trace() const noexcept { return trace_; }
+  [[nodiscard]] const CompiledTrace& trace() const noexcept { return *trace_; }
   /// Interned resolver id per compiled key.
   [[nodiscard]] const std::vector<int>& ids() const noexcept { return ids_; }
 
@@ -163,13 +191,17 @@ class CompiledSweepPoint {
   }
 
  private:
-  CompiledTrace trace_;
+  std::shared_ptr<const CompiledTrace> trace_;
   std::vector<int> ids_;
   mutable std::mutex mutex_;
   mutable std::shared_ptr<const ResolvedSlots> slots_;
 };
 
+/// Layer 1: system-free compiled traces, shared by every point and system.
 using CompiledTraceCache =
-    ShardedLru<SweepPointKey, CompiledSweepPoint, SweepPointKeyHash>;
+    ShardedLru<TraceKey, const CompiledTrace, TraceKeyHash>;
+/// Layers 2 and 3: one point per (trace, system).
+using SweepPointCache =
+    ShardedLru<SweepPointKey, CompiledSweepPoint, TraceKeyHash>;
 
 }  // namespace dlap

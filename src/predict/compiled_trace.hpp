@@ -77,7 +77,8 @@ void write_prediction(const Prediction& p, std::string* out);
 
 /// One distinct (routine, flags) pair of a compiled trace: the unit of
 /// model resolution. Backend/locality are properties of the query, not
-/// the trace, so a compiled trace is reusable across systems.
+/// the trace, so the engine compiles a spec once and shares the trace
+/// across systems (api/trace_cache.hpp).
 struct CompiledKey {
   RoutineId routine = RoutineId::Gemm;
   std::string flags;  ///< flag values joined (KernelCall::flag_key)

@@ -363,6 +363,7 @@ ServerStats Server::stats() const {
     out.queue_peak = queue.peak;
   }
   out.trace_cache = engine_.trace_cache_stats();
+  out.compiled_traces = engine_.compiled_trace_stats();
   out.interned_keys = engine_.interned_keys();
   return out;
 }
@@ -404,15 +405,18 @@ HttpResponse Server::handle_stats(const HttpRequest&) {
   reload.set("failed", Json::number(static_cast<double>(s.reloads_failed)));
   reload.set("last_error", Json::string(s.last_reload_error));
 
-  Json cache = Json::object();
-  cache.set("hits", Json::number(static_cast<double>(s.trace_cache.hits)));
-  cache.set("misses", Json::number(static_cast<double>(s.trace_cache.misses)));
-  cache.set("evictions",
-            Json::number(static_cast<double>(s.trace_cache.evictions)));
-  cache.set("size", Json::number(static_cast<double>(s.trace_cache.size)));
+  const auto lru = [](const LruStats& stats) {
+    Json out = Json::object();
+    out.set("hits", Json::number(static_cast<double>(stats.hits)));
+    out.set("misses", Json::number(static_cast<double>(stats.misses)));
+    out.set("evictions", Json::number(static_cast<double>(stats.evictions)));
+    out.set("size", Json::number(static_cast<double>(stats.size)));
+    return out;
+  };
 
   Json engine = Json::object();
-  engine.set("trace_cache", std::move(cache));
+  engine.set("trace_cache", lru(s.trace_cache));
+  engine.set("compiled_traces", lru(s.compiled_traces));
   engine.set("interned_keys",
              Json::number(static_cast<double>(s.interned_keys)));
 

@@ -89,7 +89,8 @@ struct ServerStats {
   std::string last_reload_error;
   std::size_t queue_depth = 0;
   std::size_t queue_peak = 0;
-  LruStats trace_cache;              ///< engine compiled-trace cache
+  LruStats trace_cache;              ///< engine sweep-point cache
+  LruStats compiled_traces;          ///< engine compiled traces (no system)
   std::size_t interned_keys = 0;     ///< engine resolver keys
 };
 

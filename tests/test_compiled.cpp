@@ -1,12 +1,15 @@
 // Tests for the compiled-prediction subsystem: CompiledTrace dedupe +
 // bit-identity with the reference per-call loop, the PiecewiseModel region
-// index vs the reference linear scan, the sharded trace LRU, and the
-// engine's snapshot invalidation-on-regeneration semantics, including
-// the prediction and wire text each snapshot stores.
+// index vs the reference linear scan, the sharded trace LRU, the
+// engine's two cache layers (system-free compiled traces under per-system
+// sweep points), and its snapshot invalidation-on-regeneration
+// semantics, including the prediction and wire text each snapshot
+// stores.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <latch>
@@ -579,11 +582,18 @@ TEST(EngineCompiled, RepeatedSweepHitsTraceCache) {
   ASSERT_TRUE(first.ok()) << first.status().to_string();
   const LruStats after_first = t.engine.trace_cache_stats();
   EXPECT_EQ(after_first.size, 4u);
+  const LruStats traces_first = t.engine.compiled_trace_stats();
+  EXPECT_EQ(traces_first.misses, 4u);
+  EXPECT_EQ(traces_first.size, 4u);
   const auto second = t.engine.rank(query);
   ASSERT_TRUE(second.ok());
   const LruStats after_second = t.engine.trace_cache_stats();
   EXPECT_EQ(after_second.hits, after_first.hits + 4);
   EXPECT_EQ(after_second.misses, after_first.misses);  // no recompilation
+  // A sweep-point hit never reaches the compiled-trace layer.
+  const LruStats traces_second = t.engine.compiled_trace_stats();
+  EXPECT_EQ(traces_second.hits, traces_first.hits);
+  EXPECT_EQ(traces_second.misses, traces_first.misses);
   for (std::size_t i = 0; i < first->predictions.size(); ++i) {
     expect_identical(first->predictions[i], second->predictions[i]);
   }
@@ -597,12 +607,20 @@ TEST(EngineCompiled, RepeatedSweepHitsTraceCache) {
               second->prediction_json[i].get());
   }
   t.engine.clear_trace_cache();
-  EXPECT_EQ(t.engine.trace_cache_stats().size, 0u);
+  const LruStats points_cleared = t.engine.trace_cache_stats();
+  const LruStats traces_cleared = t.engine.compiled_trace_stats();
+  EXPECT_EQ(points_cleared.size, 0u);
+  EXPECT_EQ(traces_cleared.size, 0u);
   const auto third = t.engine.rank(query);  // recompiles, same answers
   ASSERT_TRUE(third.ok());
   for (std::size_t i = 0; i < first->predictions.size(); ++i) {
     expect_identical(first->predictions[i], third->predictions[i]);
   }
+  // Cleared means cold in both layers: every point misses and compiles.
+  EXPECT_EQ(t.engine.trace_cache_stats().misses, points_cleared.misses + 4);
+  EXPECT_EQ(t.engine.compiled_trace_stats().misses,
+            traces_cleared.misses + 4);
+  EXPECT_EQ(t.engine.compiled_trace_stats().hits, traces_cleared.hits);
 }
 
 TEST(EngineCompiled, TinyCacheEvictsButStaysCorrect) {
@@ -663,20 +681,51 @@ void expect_identical(const Ranking& a, const Ranking& b) {
   expect_stored_text(b);
 }
 
+void expect_identical(const TuneResult& a, const TuneResult& b) {
+  ASSERT_EQ(a.predictions.size(), b.predictions.size());
+  ASSERT_EQ(a.prediction_json.size(), b.prediction_json.size());
+  for (std::size_t i = 0; i < a.predictions.size(); ++i) {
+    expect_identical(a.predictions[i], b.predictions[i]);
+    EXPECT_EQ(*a.prediction_json[i], *b.prediction_json[i]);
+  }
+  EXPECT_EQ(a.values, b.values);
+  EXPECT_EQ(a.best_index, b.best_index);
+}
+
+/// Two systems that differ in locality alone, as the paper's Fig IV.1
+/// asks each spec under in-cache and out-of-cache models.
+const SystemSpec kSystemX{"blocked", Locality::InCache};
+const SystemSpec kSystemY{"blocked", Locality::OutOfCache};
+
+/// `query` asked under `system`.
+template <class Query>
+Query under(Query query, const SystemSpec& system) {
+  query.system = system;
+  return query;
+}
+
 TEST(EngineCompiled, ConcurrentFirstRankMatchesSequentialEngine) {
-  // Put the models on disk first, so every engine below reads the same
-  // model bytes.
+  // Put the models of both systems on disk first, so every engine below
+  // reads the same model bytes.
   const RankQuery query = RankQuery::sylv_variants(96, 96, 32);
   TempEngine gen("dlap_test_compiled_concurrent");
-  ASSERT_TRUE(gen.engine.prepare(query.candidates).ok());
+  for (const SystemSpec& system : {kSystemX, kSystemY}) {
+    ASSERT_TRUE(gen.engine.prepare(query.candidates, system).ok());
+  }
   EngineConfig cfg = test_config("dlap_test_compiled_concurrent");
   cfg.generate_missing = false;
 
-  Engine sequential(cfg);
-  const auto reference = sequential.rank(query);
-  ASSERT_TRUE(reference.ok()) << reference.status().to_string();
+  // One sequential engine per system, each serving only that system.
+  std::vector<Ranking> references;
+  for (const SystemSpec& system : {kSystemX, kSystemY}) {
+    Engine sequential(cfg);
+    const auto reference = sequential.rank(under(query, system));
+    ASSERT_TRUE(reference.ok()) << reference.status().to_string();
+    references.push_back(*reference);
+  }
 
-  // The rank is new to this engine: eight threads race through compile,
+  // The rank is new to this engine: eight threads, split across the two
+  // systems, race through compile (both systems on the same traces),
   // resolve and the first read of every snapshot's stored prediction.
   Engine shared(cfg);
   constexpr int kThreads = 8;
@@ -686,15 +735,115 @@ TEST(EngineCompiled, ConcurrentFirstRankMatchesSequentialEngine) {
   std::vector<std::thread> threads;
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
+      const RankQuery mine = under(query, i % 2 == 0 ? kSystemX : kSystemY);
       start.arrive_and_wait();
-      answers[static_cast<std::size_t>(i)] = shared.rank(query);
+      answers[static_cast<std::size_t>(i)] = shared.rank(mine);
     });
   }
   for (std::thread& thread : threads) thread.join();
-  for (const Result<Ranking>& answer : answers) {
-    ASSERT_TRUE(answer.ok()) << answer.status().to_string();
-    expect_identical(*answer, *reference);
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(answers[i].ok()) << answers[i].status().to_string();
+    expect_identical(*answers[i], references[i % 2]);
   }
+}
+
+TEST(EngineCompiled, SystemsShareCompiledTraces) {
+  // A 16-schedule sylv rank and an 8-point trinv tune, asked under X and
+  // then under Y. Models for both systems go on disk first, so every
+  // engine below reads the same model bytes.
+  const RankQuery rank = RankQuery::sylv_variants(96, 64, 32);
+  TuneQuery tune;
+  tune.spec = OperationSpec::trinv(3, 192, 64);
+  tune.lo = 16;
+  tune.hi = 128;
+  tune.step = 16;
+  std::vector<OperationSpec> specs = rank.candidates;
+  for (index_t b = tune.lo; b <= tune.hi; b += tune.step) {
+    specs.push_back(OperationSpec::trinv(3, 192, b));
+  }
+  constexpr std::size_t kPoints = 16 + 8;
+  TempEngine gen("dlap_test_compiled_systems");
+  for (const SystemSpec& system : {kSystemX, kSystemY}) {
+    ASSERT_TRUE(gen.engine.prepare(specs, system).ok());
+  }
+  EngineConfig cfg = test_config("dlap_test_compiled_systems");
+  cfg.generate_missing = false;
+
+  // The default capacity holds everything; 8 makes both layers evict.
+  for (const index_t capacity : {index_t{4096}, index_t{8}}) {
+    SCOPED_TRACE(capacity);
+    cfg.trace_cache_capacity = capacity;
+    Engine only_y(cfg);
+    const auto rank_ref = only_y.rank(under(rank, kSystemY));
+    const auto tune_ref = only_y.tune(under(tune, kSystemY));
+    ASSERT_TRUE(rank_ref.ok()) << rank_ref.status().to_string();
+    ASSERT_TRUE(tune_ref.ok()) << tune_ref.status().to_string();
+
+    Engine engine(cfg);
+    const auto rank_x = engine.rank(under(rank, kSystemX));
+    const auto tune_x = engine.tune(under(tune, kSystemX));
+    ASSERT_TRUE(rank_x.ok()) << rank_x.status().to_string();
+    ASSERT_TRUE(tune_x.ok()) << tune_x.status().to_string();
+    const LruStats points_x = engine.trace_cache_stats();
+    const LruStats traces_x = engine.compiled_trace_stats();
+
+    const auto rank_y = engine.rank(under(rank, kSystemY));
+    const auto tune_y = engine.tune(under(tune, kSystemY));
+    ASSERT_TRUE(rank_y.ok()) << rank_y.status().to_string();
+    ASSERT_TRUE(tune_y.ok()) << tune_y.status().to_string();
+    const LruStats points_y = engine.trace_cache_stats();
+    const LruStats traces_y = engine.compiled_trace_stats();
+
+    expect_identical(*rank_y, *rank_ref);
+    expect_identical(*tune_y, *tune_ref);
+    // Y's models differ from X's, so Y did not answer from X's points.
+    EXPECT_NE(rank_y->predictions[0].ticks.median,
+              rank_x->predictions[0].ticks.median);
+    EXPECT_NE(tune_y->predictions[0].ticks.median,
+              tune_x->predictions[0].ticks.median);
+
+    EXPECT_EQ(points_y.misses - points_x.misses, kPoints);
+    if (capacity == 4096) {
+      // Y builds points of its own on X's compiled traces.
+      EXPECT_EQ(traces_x.misses, kPoints);
+      EXPECT_EQ(traces_y.misses, traces_x.misses);
+      EXPECT_EQ(traces_y.hits - traces_x.hits, kPoints);
+      EXPECT_EQ(traces_y.size, kPoints);
+      EXPECT_EQ(points_y.size, 2 * kPoints);
+    } else {
+      EXPECT_GT(points_y.evictions, 0u);
+      EXPECT_GT(traces_y.evictions, 0u);
+    }
+  }
+}
+
+TEST(EngineCompiled, KnownSpecUnderAnotherSystemRunsNoAlgorithm) {
+  // A trinv clone that counts the runs of its algorithm into a compiling
+  // context, which is what a compile is (planning traces it too).
+  static std::atomic<int> compiles{0};
+  OperationDescriptor counted;
+  counted.name = "test_counted_trinv";
+  counted.variant_count = 1;
+  counted.run = [](const OperationSpec& s, KernelContext& ctx) {
+    if (dynamic_cast<CompilingContext*>(&ctx) != nullptr) ++compiles;
+    record_trinv(ctx, 1, s.n, s.blocksize);
+  };
+  counted.nominal_flops = [](const OperationSpec& s) {
+    return trinv_flops(s.n);
+  };
+  (void)OperationRegistry::instance().register_family(std::move(counted));
+
+  TempEngine t("dlap_test_compiled_counted");
+  const PredictQuery query =
+      PredictQuery::of(OperationSpec::of("test_counted_trinv", 1, 0, 96, 32));
+  const int before = compiles.load();
+  for (const SystemSpec& system : {kSystemX, kSystemY, kSystemX}) {
+    const auto answer = t.engine.predict(under(query, system));
+    ASSERT_TRUE(answer.ok()) << answer.status().to_string();
+  }
+  EXPECT_EQ(compiles.load() - before, 1);
+  EXPECT_EQ(t.engine.trace_cache_stats().misses, 2u);
 }
 
 /// Generates the models `specs` need into `dir` from measurements offset
@@ -791,7 +940,9 @@ TEST(EngineCompiled, ReloadReleasesTheSnapshotsOfCachedPoints) {
   EXPECT_FALSE(watched.expired());  // the cached snapshots pin it
   ASSERT_TRUE(t.engine.reload().ok());
   EXPECT_TRUE(watched.expired());
-  EXPECT_EQ(t.engine.trace_cache_stats().size, 4u);  // traces stay cached
+  // Both layers stay cached.
+  EXPECT_EQ(t.engine.trace_cache_stats().size, 4u);
+  EXPECT_EQ(t.engine.compiled_trace_stats().size, 4u);
 
   // A ranking held across a reload keeps its own snapshots and bytes.
   const auto held = t.engine.rank(query);
@@ -807,6 +958,9 @@ TEST(EngineCompiled, ReloadReleasesTheSnapshotsOfCachedPoints) {
   const auto again = t.engine.rank(query);  // re-resolved, same models
   ASSERT_TRUE(again.ok()) << again.status().to_string();
   expect_identical(*again, *held);
+  // Neither reload made a later rank recompile or rebuild a point.
+  EXPECT_EQ(t.engine.trace_cache_stats().misses, 4u);
+  EXPECT_EQ(t.engine.compiled_trace_stats().misses, 4u);
 }
 
 TEST(EngineCompiled, OneAxisSpecsShareOnePointAcrossM) {
@@ -826,6 +980,7 @@ TEST(EngineCompiled, OneAxisSpecsShareOnePointAcrossM) {
     EXPECT_EQ(after.misses - before.misses, 1u);
     EXPECT_EQ(after.hits - before.hits, 1u);
     EXPECT_EQ(after.size, 1u);
+    EXPECT_EQ(t.engine.compiled_trace_stats().size, 1u);
     expect_identical(*first, *second);
 
     // A ranking echoes each candidate as given.
@@ -847,6 +1002,7 @@ TEST(EngineCompiled, SpecAndEquivalentRawTraceAgree) {
   ASSERT_TRUE(via_trace.ok()) << via_trace.status().to_string();
   expect_identical(*via_spec, *via_trace);
   EXPECT_EQ(t.engine.trace_cache_stats().size, 1u);  // only the spec query
+  EXPECT_EQ(t.engine.compiled_trace_stats().size, 1u);
 }
 
 }  // namespace

@@ -1289,6 +1289,48 @@ TEST(ServerLoopback, StatsEndpointReportsCounters) {
   ASSERT_NE(stats.find("limiter"), nullptr);
   ASSERT_NE(stats.find("reload"), nullptr);
   EXPECT_EQ(stats.find("queue")->find("capacity")->as_integer(), 64);
+
+  // One rank under two systems: each system misses its own sweep points,
+  // but only the first compiles the traces, which the second reuses.
+  const auto misses = [&client](const char* layer) -> index_t {
+    const auto r = client.request("GET", "/v1/stats");
+    if (!r.has_value() || r->status != 200) return -1;
+    return Json::parse(r->body)
+        .find("engine")
+        ->find(layer)
+        ->find("misses")
+        ->as_integer();
+  };
+  const auto rank_under = [&client](const char* locality) {
+    const auto r = client.request(
+        "POST", "/v1/rank",
+        std::string("{\"candidates\":[{\"op\":\"trinv\",\"variant\":1,"
+                    "\"n\":64,\"blocksize\":16},{\"op\":\"trinv\","
+                    "\"variant\":2,\"n\":64,\"blocksize\":16}],"
+                    "\"system\":{\"locality\":\"") +
+            locality + "\"}}");
+    return r.has_value() ? r->status : 0;
+  };
+  const index_t points0 = misses("trace_cache");
+  const index_t traces0 = misses("compiled_traces");
+  ASSERT_GE(points0, 0);
+  ASSERT_GE(traces0, 0);
+  ASSERT_EQ(rank_under("in_cache"), 200);
+  const index_t points1 = misses("trace_cache");
+  const index_t traces1 = misses("compiled_traces");
+  EXPECT_EQ(points1, points0 + 2);
+  EXPECT_EQ(traces1, traces0 + 2);
+  ASSERT_EQ(rank_under("out_of_cache"), 200);
+  EXPECT_EQ(misses("trace_cache"), points1 + 2);
+  EXPECT_EQ(misses("compiled_traces"), traces1);
+  const auto final_stats = client.request("GET", "/v1/stats");
+  ASSERT_TRUE(final_stats.has_value());
+  const Json after = Json::parse(final_stats->body);
+  const Json* traces = after.find("engine")->find("compiled_traces");
+  ASSERT_NE(traces, nullptr);
+  EXPECT_EQ(traces->find("size")->as_integer(), 2);
+  EXPECT_EQ(traces->find("evictions")->as_integer(), 0);
+  EXPECT_EQ(traces->find("hits")->as_integer(), 2);
   server.stop();
 }
 
