@@ -8,9 +8,10 @@
 // ThreadPool (deterministic sources only -- real timing stays serialized
 // per backend instance), so generation overlaps measurement latency both
 // *within* one key's batches and *across* concurrently generated keys.
-// As in micro_service, the measurement source is a deterministic cost
-// surface with a fixed per-point latency, so the speedup reported is the
-// scheduling overlap, independent of host core count and timing noise.
+// The measurement source is a deterministic cost surface with a fixed
+// per-point latency (ServiceConfig::measure_factory), so the speedup
+// reported is the scheduling overlap, independent of host core count and
+// timing noise.
 //
 // Also exercised: the persistent sample repository. A "warm" run points
 // a fresh service (empty model repository) at the sample directory a

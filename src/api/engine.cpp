@@ -96,13 +96,6 @@ auto Engine::submit_tracked(Fn&& fn) -> std::future<decltype(fn())> {
   }
 }
 
-Engine::PlanFn Engine::spec_plan(std::vector<OperationSpec> specs,
-                                 const SystemSpec& system) const {
-  return [specs = std::move(specs), system, policy = config_.planning] {
-    return plan_jobs_for_specs(specs, system, policy);
-  };
-}
-
 // ------------------------------------------------------------ compilation
 
 std::shared_ptr<CompiledSweepPoint> Engine::make_point(
@@ -142,7 +135,7 @@ std::shared_ptr<CompiledSweepPoint> Engine::compile_spec(
 
 Status Engine::resolve(
     const std::vector<const CompiledSweepPoint*>& points,
-    const SystemSpec& system, const PlanFn& plan,
+    const SystemSpec& system,
     std::vector<std::shared_ptr<const ResolvedSlots>>* slots) noexcept {
   try {
     slots->assign(points.size(), nullptr);
@@ -211,8 +204,7 @@ Status Engine::resolve(
       ModelJob job;
     };
     std::vector<PendingGen> to_generate;
-    std::vector<ModelJob> planned;
-    bool planned_built = false;
+    std::vector<ModelJob> planned;  // planned on the first key to generate
     for (const auto& [id, need] : needs) {
       if (resolved.count(id) != 0) continue;
       std::shared_ptr<const RoutineModel> stored = service_.find(need.key);
@@ -233,9 +225,15 @@ Status Engine::resolve(
                 need.needed.to_string() +
                 " and on-demand generation is disabled");
       }
-      if (!planned_built) {
-        planned = plan();
-        planned_built = true;
+      if (planned.empty()) {
+        // Over every point of the query, not only the stale ones, so a
+        // regenerated domain covers the whole query.
+        std::vector<const CompiledTrace*> traces;
+        traces.reserve(points.size());
+        for (const CompiledSweepPoint* point : points) {
+          traces.push_back(&point->trace());
+        }
+        planned = plan_jobs(traces, system, config_.planning);
       }
       const auto it = std::find_if(
           planned.begin(), planned.end(), [&need = need](const ModelJob& j) {
@@ -388,22 +386,28 @@ Result<Prediction> Engine::predict(const PredictQuery& query) noexcept {
   try {
     const SystemSpec system = effective_system(query.system);
     std::shared_ptr<CompiledSweepPoint> point;
-    PlanFn plan;
     if (query.spec.has_value()) {
       const OperationDescriptor* family = nullptr;
       if (Status s = query.spec->validate(&family); !s.ok()) return s;
       point = compile_spec(*query.spec, *family, system);
-      plan = spec_plan({*query.spec}, system);
     } else {
+      // Each call must match its routine's signature before compiling:
+      // resolution and planning read every entry of a key at one arity.
+      for (std::size_t i = 0; i < query.trace.size(); ++i) {
+        try {
+          validate_call(query.trace[i]);
+        } catch (const invalid_argument_error& e) {
+          return Status::error(StatusCode::InvalidQuery,
+                               "trace call " + std::to_string(i) + ": " +
+                                   e.what());
+        }
+      }
       point = make_point(std::make_shared<const CompiledTrace>(
                              CompiledTrace::compile(query.trace)),
                          system);
-      plan = [trace = &query.trace, system, policy = config_.planning] {
-        return plan_jobs(*trace, system, policy);
-      };
     }
     std::vector<std::shared_ptr<const ResolvedSlots>> slots;
-    if (Status s = resolve({point.get()}, system, plan, &slots); !s.ok()) {
+    if (Status s = resolve({point.get()}, system, &slots); !s.ok()) {
       return s;
     }
     if (config_.query_hook) config_.query_hook();
@@ -432,9 +436,7 @@ Result<Ranking> Engine::rank(const RankQuery& query) noexcept {
     for (const auto& p : points) ptrs.push_back(p.get());
 
     std::vector<std::shared_ptr<const ResolvedSlots>> slots;
-    if (Status s = resolve(ptrs, system, spec_plan(query.candidates, system),
-                           &slots);
-        !s.ok()) {
+    if (Status s = resolve(ptrs, system, &slots); !s.ok()) {
       return s;
     }
 
@@ -469,7 +471,6 @@ Result<TuneResult> Engine::tune(const TuneQuery& query) noexcept {
     }
     const SystemSpec system = effective_system(query.system);
     TuneResult out;
-    std::vector<OperationSpec> specs;
     std::vector<std::shared_ptr<CompiledSweepPoint>> points;
     for (index_t i = 0; i < count; ++i) {
       OperationSpec spec = query.spec;
@@ -478,15 +479,13 @@ Result<TuneResult> Engine::tune(const TuneQuery& query) noexcept {
       if (Status s = spec.validate(&family); !s.ok()) return s;
       out.values.push_back(spec.blocksize);
       points.push_back(compile_spec(spec, *family, system));
-      specs.push_back(std::move(spec));
     }
     std::vector<const CompiledSweepPoint*> ptrs;
     ptrs.reserve(points.size());
     for (const auto& p : points) ptrs.push_back(p.get());
 
     std::vector<std::shared_ptr<const ResolvedSlots>> slots;
-    if (Status s = resolve(ptrs, system, spec_plan(specs, system), &slots);
-        !s.ok()) {
+    if (Status s = resolve(ptrs, system, &slots); !s.ok()) {
       return s;
     }
 
@@ -504,7 +503,6 @@ Result<SampleStats> Engine::predict_call(
     KernelCall call;
     try {
       call = parse_call(call_text);
-      validate_call(call);
     } catch (const parse_error& e) {
       return Status::error(StatusCode::ParseError, e.what());
     } catch (const invalid_argument_error& e) {
@@ -583,43 +581,39 @@ Status Engine::prepare(const std::vector<OperationSpec>& specs,
     ptrs.reserve(points.size());
     for (const auto& p : points) ptrs.push_back(p.get());
 
-    // Memoize the plan: resolve computes it only when models are
-    // missing, and the report loop below reuses that same computation
-    // (planning re-traces every spec -- never pay for it twice).
-    auto memo = std::make_shared<std::optional<std::vector<ModelJob>>>();
-    const PlanFn plan = [memo, inner = spec_plan(specs, sys)] {
-      if (!memo->has_value()) *memo = inner();
-      return **memo;
-    };
     std::vector<std::shared_ptr<const ResolvedSlots>> slots;
-    Status status = resolve(ptrs, sys, plan, &slots);
+    Status status = resolve(ptrs, sys, &slots);
     if (!status.ok() || report == nullptr) return status;
 
-    // Per-key accounting: every key the specs plan to, attributed to
-    // this call when its stats record is newer than epoch0 (otherwise
-    // the key was satisfied from the engine cache / an earlier run).
+    // Per-key accounting: every key the points use, in first-seen order,
+    // attributed to this call when its stats record is newer than epoch0
+    // (otherwise the key was satisfied from the engine cache / an
+    // earlier run).
     report->keys.clear();
-    std::set<ModelKey> seen;
-    for (const ModelJob& job : plan()) {
-      const ModelKey key = ModelService::key_for(job);
-      if (!seen.insert(key).second) continue;
-      PrepareReport::Key entry;
-      entry.key = key;
-      if (const auto stats = service_.generation_stats(key);
-          stats.has_value() && stats->epoch > epoch0 && stats->generated) {
-        entry.generated = true;
-        entry.unique_samples = stats->unique_samples;
-        entry.points_measured = stats->points_measured;
-        entry.points_from_memory = stats->points_from_memory;
-        entry.points_from_disk = stats->points_from_disk;
-        entry.wall_ms = stats->wall_ms;
+    std::set<int> seen;
+    for (const CompiledSweepPoint* point : ptrs) {
+      const std::vector<CompiledKey>& keys = point->trace().keys();
+      for (std::size_t k = 0; k < keys.size(); ++k) {
+        if (!seen.insert(point->ids()[k]).second) continue;
+        PrepareReport::Key entry;
+        entry.key = ModelKey{routine_name(keys[k].routine), sys.backend,
+                             sys.locality, keys[k].flags};
+        if (const auto stats = service_.generation_stats(entry.key);
+            stats.has_value() && stats->epoch > epoch0 && stats->generated) {
+          entry.generated = true;
+          entry.unique_samples = stats->unique_samples;
+          entry.points_measured = stats->points_measured;
+          entry.points_from_memory = stats->points_from_memory;
+          entry.points_from_disk = stats->points_from_disk;
+          entry.wall_ms = stats->wall_ms;
+        }
+        // Provenance of whatever model now serves the key (reused keys
+        // included): text file, binary container, or this-process build.
+        if (const auto model = service_.find(entry.key)) {
+          entry.source = model->source;
+        }
+        report->keys.push_back(std::move(entry));
       }
-      // Provenance of whatever model now serves the key (reused keys
-      // included): text file, binary container, or this-process build.
-      if (const auto model = service_.find(key)) {
-        entry.source = model->source;
-      }
-      report->keys.push_back(std::move(entry));
     }
     return status;
   } catch (const std::exception& e) {

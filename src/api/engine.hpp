@@ -8,9 +8,9 @@
 //   - typed queries: callers say *what they want decided* (an operation
 //     spec, a candidate set, a swept parameter); specs are validated and
 //     compiled through the OperationRegistry (src/ops/registry.hpp), the
-//     engine derives the modeling jobs (per-family domain planners,
-//     falling back to trace-driven planning in api/plan.hpp) and
-//     generates missing models on demand through its ModelService;
+//     engine plans the modeling jobs from the same compiled traces it
+//     predicts with (api/plan.hpp) and generates missing models on demand
+//     through its ModelService;
 //   - non-throwing answers: every entry point returns Result<T>
 //     (api/result.hpp) -- a failed query reports a status instead of
 //     unwinding the caller;
@@ -59,8 +59,8 @@ struct EngineConfig {
   ServiceConfig service;
   /// Default system for queries that do not name one.
   SystemSpec system;
-  /// How modeling jobs are derived from query traces (consumed by the
-  /// registry's domain planners and the trace-driven fallback).
+  /// How modeling jobs are derived from a query's compiled traces
+  /// (api/plan.hpp).
   PlanningPolicy planning;
   /// Generate models a query needs but the repository lacks (or only
   /// covers too small a domain for). When false such queries fail with
@@ -225,13 +225,6 @@ class Engine {
   }
 
  private:
-  /// Lazily produces the modeling jobs of the current query; only invoked
-  /// when some model is missing. Spec-based queries plan through the
-  /// OperationRegistry's per-family domain planners
-  /// (plan_jobs_for_specs); raw-trace queries fall back to trace-driven
-  /// planning (api/plan.hpp).
-  using PlanFn = std::function<std::vector<ModelJob>()>;
-
   [[nodiscard]] SystemSpec effective_system(
       const std::optional<SystemSpec>& override_spec) const {
     return override_spec.value_or(config_.system);
@@ -255,15 +248,13 @@ class Engine {
   /// Produces one current slot snapshot per sweep point: fresh snapshots
   /// are reused as-is; stale ones trigger model resolution (engine cache
   /// -> repository -> on-demand generation), coverage verification
-  /// against the points' unique calls, and a version-stamped rebuild.
+  /// against the points' unique calls, and a version-stamped rebuild. A
+  /// key that has to be generated is planned (plan_jobs) over the
+  /// compiled traces of ALL the points, stale or not.
   [[nodiscard]] Status resolve(
       const std::vector<const CompiledSweepPoint*>& points,
-      const SystemSpec& system, const PlanFn& plan,
+      const SystemSpec& system,
       std::vector<std::shared_ptr<const ResolvedSlots>>* slots) noexcept;
-
-  /// PlanFn for a spec-based query: registry-planned jobs for `specs`.
-  [[nodiscard]] PlanFn spec_plan(std::vector<OperationSpec> specs,
-                                 const SystemSpec& system) const;
 
   /// Wraps a submitted task: counts it as pending until it finishes, so
   /// the destructor can wait for the pool to drain dropped futures.

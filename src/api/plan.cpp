@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string_view>
 #include <utility>
 
 namespace dlap {
@@ -16,36 +17,41 @@ Region region_union(const Region& a, const Region& b) {
   return Region(std::move(lo), std::move(hi));
 }
 
-std::vector<ModelJob> plan_jobs(const std::vector<const CallTrace*>& traces,
+std::vector<ModelJob> plan_jobs(const std::vector<const CompiledTrace*>& traces,
                                 const SystemSpec& system,
                                 const PlanningPolicy& policy) {
-  // Per distinct (routine, flags): the per-dimension size range the calls
-  // span across all traces.
-  struct SizeRange {
-    std::vector<index_t> min, max;
+  // Per distinct (routine, flags): the bounding box of its entries'
+  // sizes across all traces. The flag views point into the traces, which
+  // outlive this call.
+  struct Box {
+    std::vector<index_t> lo, hi;
   };
-  std::map<std::pair<RoutineId, std::string>, SizeRange> ranges;
-  for (const CallTrace* trace : traces) {
-    for (const KernelCall& call : *trace) {
-      if (call_is_degenerate(call)) continue;
-      auto& range = ranges[{call.routine, call.flag_key()}];
-      if (range.min.empty()) {
-        range.min = call.sizes;
-        range.max = call.sizes;
+  std::map<std::pair<RoutineId, std::string_view>, Box> boxes;
+  std::vector<Box*> by_key;
+  for (const CompiledTrace* trace : traces) {
+    by_key.clear();
+    for (const CompiledKey& key : trace->keys()) {
+      by_key.push_back(&boxes[{key.routine, key.flags}]);
+    }
+    for (const CompiledCall& call : trace->entries()) {
+      Box& box = *by_key[static_cast<std::size_t>(call.key)];
+      if (box.lo.empty()) {
+        box.lo = call.sizes;
+        box.hi = call.sizes;
         continue;
       }
-      DLAP_REQUIRE(range.min.size() == call.sizes.size(),
+      DLAP_REQUIRE(box.lo.size() == call.sizes.size(),
                    "plan_jobs: inconsistent call arity");
-      for (std::size_t d = 0; d < range.min.size(); ++d) {
-        range.min[d] = std::min(range.min[d], call.sizes[d]);
-        range.max[d] = std::max(range.max[d], call.sizes[d]);
+      for (std::size_t d = 0; d < box.lo.size(); ++d) {
+        box.lo[d] = std::min(box.lo[d], call.sizes[d]);
+        box.hi[d] = std::max(box.hi[d], call.sizes[d]);
       }
     }
   }
 
   std::vector<ModelJob> jobs;
-  jobs.reserve(ranges.size());
-  for (const auto& [key, range] : ranges) {
+  jobs.reserve(boxes.size());
+  for (auto& [key, box] : boxes) {
     ModelJob job;
     job.backend = system.backend;
     job.request.routine = key.first;
@@ -56,24 +62,28 @@ std::vector<ModelJob> plan_jobs(const std::vector<const CallTrace*>& traces,
         policy.reps + (system.locality == Locality::OutOfCache
                            ? policy.out_of_cache_extra_reps
                            : 0);
-    std::vector<index_t> lo(range.min.size());
-    std::vector<index_t> hi(range.max.size());
-    for (std::size_t d = 0; d < range.min.size(); ++d) {
-      // The domain must contain every traced point, so the bounds widen
-      // beyond the policy's defaults when calls fall outside them.
-      lo[d] = std::min(policy.domain_lo, range.min[d]);
-      hi[d] = std::max(range.max[d], policy.min_domain_hi);
+    for (std::size_t d = 0; d < box.lo.size(); ++d) {
+      // The domain must contain every entry, so the bounds widen beyond
+      // the policy's defaults when entries fall outside them.
+      box.lo[d] = std::min(policy.domain_lo, box.lo[d]);
+      box.hi[d] = std::max(box.hi[d], policy.min_domain_hi);
     }
-    job.request.domain = Region(std::move(lo), std::move(hi));
+    job.request.domain = Region(std::move(box.lo), std::move(box.hi));
     jobs.push_back(std::move(job));
   }
   return jobs;
 }
 
-std::vector<ModelJob> plan_jobs(const CallTrace& trace,
-                                const SystemSpec& system,
-                                const PlanningPolicy& policy) {
-  return plan_jobs(std::vector<const CallTrace*>{&trace}, system, policy);
+std::vector<ModelJob> plan_jobs_for_specs(
+    const std::vector<OperationSpec>& specs, const SystemSpec& system,
+    const PlanningPolicy& policy) {
+  std::vector<CompiledTrace> compiled;
+  compiled.reserve(specs.size());
+  for (const OperationSpec& spec : specs) compiled.push_back(spec.compile());
+  std::vector<const CompiledTrace*> traces;
+  traces.reserve(compiled.size());
+  for (const CompiledTrace& trace : compiled) traces.push_back(&trace);
+  return plan_jobs(traces, system, policy);
 }
 
 }  // namespace dlap

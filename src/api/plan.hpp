@@ -1,19 +1,19 @@
 #pragma once
-// Trace -> job planning: derive the modeling jobs a query needs from its
-// call trace(s), instead of making callers assemble ModelJob fields by
-// hand. One job per distinct (routine, flags) pair the traces invoke, the
-// domain spanning the union of the calls' size arguments -- exactly what
-// examples/tune_blocksize.cpp used to wire manually.
+// Job planning: derive the modeling jobs a query needs from the compiled
+// traces the engine already holds for it (paper Section III: models are
+// generated for the kernels a blocked algorithm calls, over the size
+// ranges those calls span). One job per distinct (routine, flags) key the
+// traces invoke, its domain the PlanningPolicy bounds applied to the
+// bounding box of that key's entries across all the traces.
 //
-// This is also the default DomainPlanner every operation family gets
-// when it registers without its own (src/ops/registry.hpp); spec-based
-// engine queries plan per family through plan_jobs_for_specs.
+// This is the one planner: Engine::resolve runs it over the compiled
+// traces of every point of a query when some model has to be generated,
+// and plan_jobs_for_specs compiles specs and runs it.
 
-#include <string>
 #include <vector>
 
 #include "api/query.hpp"
-#include "predict/trace.hpp"
+#include "predict/compiled_trace.hpp"
 #include "service/model_service.hpp"
 
 namespace dlap {
@@ -35,16 +35,22 @@ struct PlanningPolicy {
 };
 
 /// Jobs covering every kernel the traces invoke on `system`: one per
-/// distinct (routine, flags), domain [domain_lo, max size seen] per
-/// dimension (floored at min_domain_hi). Calls with any zero size are
-/// ignored (they are skipped at prediction time too).
+/// distinct (routine, flags), in (routine, flags) order, with domain
+/// [min(domain_lo, min size), max(max size, min_domain_hi)] per dimension
+/// over that key's entries. Compilation already dropped the zero-size
+/// calls, so they never widen a domain. Throws
+/// dlap::invalid_argument_error when one key's entries differ in arity
+/// (never for specs, nor for calls that pass validate_call).
 [[nodiscard]] std::vector<ModelJob> plan_jobs(
-    const std::vector<const CallTrace*>& traces, const SystemSpec& system,
+    const std::vector<const CompiledTrace*>& traces, const SystemSpec& system,
     const PlanningPolicy& policy);
 
-[[nodiscard]] std::vector<ModelJob> plan_jobs(const CallTrace& trace,
-                                              const SystemSpec& system,
-                                              const PlanningPolicy& policy);
+/// plan_jobs over the specs' compiled traces. Specs must name registered
+/// families (dlap::lookup_error otherwise -- Engine validates specs before
+/// it compiles them).
+[[nodiscard]] std::vector<ModelJob> plan_jobs_for_specs(
+    const std::vector<OperationSpec>& specs, const SystemSpec& system,
+    const PlanningPolicy& policy);
 
 /// Bounding box of two same-dimensional regions. Used to grow a stored
 /// model's domain instead of replacing it when a new query needs points

@@ -84,7 +84,8 @@ struct OperationSpec {
 
   /// The operation's exact invocation sequence: its family's algorithm
   /// run into a TraceContext (requires validate().ok(); throws
-  /// dlap::lookup_error on unregistered families).
+  /// dlap::lookup_error on unregistered families). The engine never
+  /// records one; tests, benches and ground-truth tools do.
   [[nodiscard]] CallTrace trace() const;
 
   /// CompiledTrace::compile(trace()), built as the family's algorithm

@@ -5,18 +5,18 @@
 // merely its two worked examples. This registry makes that generality
 // concrete: every blocked-operation family the engine can reason about
 // registers one OperationDescriptor (its name, variant count, size axes,
-// blocked algorithm, nominal flop count, and domain planner), and the
-// api layer (`OperationSpec`, `RankQuery`, spec→job planning, Engine
-// validation) performs registry lookups instead of branching over
-// hardcoded family names. Adding a workload is a one-file registration
-// (docs/ADDING_AN_OPERATION.md walks through the Cholesky family,
-// src/ops/families.cpp, end to end).
+// blocked algorithm and nominal flop count), and the api layer
+// (`OperationSpec`, `RankQuery`, Engine validation) performs registry
+// lookups instead of branching over hardcoded family names. Which models
+// a family needs follows from the calls its algorithm issues: the engine
+// plans them from the compiled traces (api/plan.hpp). Adding a workload
+// is a one-file registration (docs/ADDING_AN_OPERATION.md walks through
+// the Cholesky family, src/ops/families.cpp, end to end).
 //
-// Layering: src/ops sits between the domain layers (algorithms, predict,
-// service) and the api facade. The descriptor signatures reference the
-// api's value types (OperationSpec, SystemSpec, PlanningPolicy), whose
-// headers depend on nothing in src/ops; the api's *implementations* call
-// back into the registry.
+// Layering: src/ops sits between the domain layers (algorithms, predict)
+// and the api facade. The descriptor signatures reference the api's
+// OperationSpec, whose header depends on nothing in src/ops; the api's
+// *implementations* call back into the registry.
 
 #include <functional>
 #include <map>
@@ -25,20 +25,10 @@
 #include <string_view>
 #include <vector>
 
-#include "api/plan.hpp"
 #include "api/query.hpp"
 #include "predict/trace.hpp"
-#include "service/model_service.hpp"
 
 namespace dlap {
-
-/// Plans the model-generation jobs a set of same-family specs needs on
-/// `system`: which (routine, flags) pairs to model and over which size
-/// domains. The jobs MUST cover every non-degenerate call of every spec's
-/// trace, or prediction fails with UncoveredDomain.
-using DomainPlanner = std::function<std::vector<ModelJob>(
-    const std::vector<OperationSpec>& specs, const SystemSpec& system,
-    const PlanningPolicy& policy)>;
 
 /// Everything the engine needs to know about one operation family.
 struct OperationDescriptor {
@@ -59,10 +49,6 @@ struct OperationDescriptor {
   /// Nominal flop count (the paper's efficiency formulas use this, not
   /// the trace sum).
   std::function<double(const OperationSpec&)> nominal_flops;
-  /// Domain planner; leave empty to get the trace-driven default (one job
-  /// per distinct (routine, flags) the traces invoke, domains spanning
-  /// the union of the calls' size arguments — api/plan.hpp).
-  DomainPlanner plan;
 };
 
 /// Process-wide, thread-safe family table. The built-in families (trinv,
@@ -100,15 +86,6 @@ class OperationRegistry {
   // Node-based map: descriptor addresses stay valid across registrations.
   std::map<std::string, OperationDescriptor, std::less<>> families_;
 };
-
-/// Jobs covering every kernel the specs' traces invoke on `system`,
-/// planned per family through each descriptor's DomainPlanner and merged
-/// across families (same-key jobs keep one entry whose domain is the
-/// region union). Specs must name registered families (dlap::lookup_error
-/// otherwise — Engine validates specs before planning).
-[[nodiscard]] std::vector<ModelJob> plan_jobs_for_specs(
-    const std::vector<OperationSpec>& specs, const SystemSpec& system,
-    const PlanningPolicy& policy);
 
 namespace ops {
 /// Registers trinv, sylv and chol (called once by

@@ -22,10 +22,13 @@
 // One compiler, CompiledTrace::Builder, does the dedupe one call at a
 // time on fixed-size values, allocating only per unique entry. It has two
 // feeds that yield the same compiled form field for field:
-// CompiledTrace::compile walks a recorded CallTrace, and CompilingContext
-// is the KernelContext a blocked algorithm runs against to be compiled as
-// it issues its calls, with no CallTrace in between
-// (OperationSpec::compile, the engine's trace-cache miss path).
+// CompiledTrace::compile walks a recorded CallTrace (a raw-trace query's),
+// and CompilingContext is the KernelContext a blocked algorithm runs
+// against to be compiled as it issues its calls, with no CallTrace in
+// between (OperationSpec::compile, the engine's trace-cache miss path).
+// The compiled form is the engine's only record of a query's calls: it
+// drives prediction here and model planning too (api/plan.hpp spans each
+// key's domain over its entries).
 //
 // Accumulating in source order -- rather than folding each entry's
 // contribution as multiplicity * estimate (and multiplicity-scaled

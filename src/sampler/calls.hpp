@@ -104,8 +104,8 @@ struct KernelCall {
 
 /// True when any size argument is zero: the call performs no flops (such
 /// calls appear naturally in traces, e.g. the first trinv iteration's
-/// dtrmm with n = 0). The planner and the trace compiler both use this
-/// one predicate to agree on which calls are degenerate.
+/// dtrmm with n = 0). The trace compiler drops the calls this predicate
+/// flags, so neither prediction nor planning ever sees them.
 [[nodiscard]] bool call_is_degenerate(std::span<const index_t> sizes) noexcept;
 [[nodiscard]] bool call_is_degenerate(const KernelCall& call) noexcept;
 

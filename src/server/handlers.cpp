@@ -236,9 +236,7 @@ Status bind_predict(const Json& body, PredictQuery* out) {
         return field_error(where, element, "expected a call string");
       }
       try {
-        KernelCall call = parse_call(calls->at(i).as_string());
-        validate_call(call);
-        trace.push_back(std::move(call));
+        trace.push_back(parse_call(calls->at(i).as_string()));
       } catch (const parse_error& e) {
         return field_error(where, element, e.what());
       } catch (const lookup_error& e) {

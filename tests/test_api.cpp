@@ -11,14 +11,20 @@
 
 #include <filesystem>
 #include <future>
+#include <iterator>
 #include <limits>
+#include <map>
 
+#include "algorithms/chol.hpp"
+#include "algorithms/sylv.hpp"
 #include "algorithms/trinv.hpp"
 #include "api/engine.hpp"
 #include "api/intern.hpp"
 #include "api/plan.hpp"
+#include "ops/registry.hpp"
 #include "predict/ranking.hpp"
 #include "predict/trace.hpp"
+#include "reference_plan.hpp"
 #include "reference_predict.hpp"
 
 namespace dlap {
@@ -87,6 +93,70 @@ void expect_identical(const Prediction& a, const Prediction& b) {
   EXPECT_EQ(a.calls, b.calls);
   EXPECT_EQ(a.skipped, b.skipped);
   EXPECT_EQ(a.missing, b.missing);
+}
+
+std::vector<CallTrace> traces_of(const std::vector<OperationSpec>& specs) {
+  std::vector<CallTrace> traces;
+  traces.reserve(specs.size());
+  for (const OperationSpec& spec : specs) traces.push_back(spec.trace());
+  return traces;
+}
+
+/// The oracle's jobs over recorded traces (tests/support/reference_plan.hpp).
+std::vector<ModelJob> oracle_jobs(const std::vector<CallTrace>& traces,
+                                  const SystemSpec& system,
+                                  const PlanningPolicy& policy) {
+  std::vector<const CallTrace*> ptrs;
+  ptrs.reserve(traces.size());
+  for (const CallTrace& trace : traces) ptrs.push_back(&trace);
+  return reference::plan_jobs(ptrs, system, policy);
+}
+
+/// `got` holds one job per key of `want`, each with the same routine,
+/// flags, backend, locality, domain, repetitions and leading dimension;
+/// job order may differ.
+void expect_same_jobs(const std::vector<ModelJob>& got,
+                      const std::vector<ModelJob>& want) {
+  std::map<ModelKey, const ModelJob*> wanted;
+  for (const ModelJob& job : want) {
+    wanted.emplace(ModelService::key_for(job), &job);
+  }
+  ASSERT_EQ(wanted.size(), want.size());
+  ASSERT_EQ(got.size(), want.size());
+  for (const ModelJob& job : got) {
+    const ModelKey key = ModelService::key_for(job);
+    const auto it = wanted.find(key);
+    ASSERT_NE(it, wanted.end()) << key.to_string();
+    const ModelJob& w = *it->second;
+    EXPECT_EQ(job.request.routine, w.request.routine) << key.to_string();
+    EXPECT_EQ(job.request.flags, w.request.flags) << key.to_string();
+    EXPECT_EQ(job.backend, w.backend) << key.to_string();
+    EXPECT_EQ(job.request.sampler.locality, w.request.sampler.locality)
+        << key.to_string();
+    EXPECT_EQ(job.request.domain, w.request.domain)
+        << key.to_string() << ": " << job.request.domain.to_string()
+        << " vs " << w.request.domain.to_string();
+    EXPECT_EQ(job.request.sampler.reps, w.request.sampler.reps)
+        << key.to_string();
+    EXPECT_EQ(job.request.fixed_ld, w.request.fixed_ld) << key.to_string();
+  }
+}
+
+/// Every key the oracle plans for `traces` has a stored model over
+/// exactly the oracle's domain.
+void expect_generated_as_planned(Engine& engine,
+                                 const std::vector<CallTrace>& traces) {
+  const auto jobs = oracle_jobs(traces, engine.config().system,
+                                engine.config().planning);
+  ASSERT_FALSE(jobs.empty());
+  for (const ModelJob& job : jobs) {
+    const ModelKey key = ModelService::key_for(job);
+    const auto model = engine.service().find(key);
+    ASSERT_NE(model, nullptr) << key.to_string();
+    EXPECT_EQ(model->model.domain(), job.request.domain)
+        << key.to_string() << ": " << model->model.domain().to_string()
+        << " vs " << job.request.domain.to_string();
+  }
 }
 
 // ----------------------------------------------------------------- Result
@@ -162,7 +232,8 @@ TEST(Plan, DerivesOneJobPerDistinctKeyWithCoveringDomain) {
   const CallTrace trace = trace_trinv(1, 250, 100);
   const SystemSpec system{"blocked", Locality::InCache};
   PlanningPolicy policy;
-  const auto jobs = plan_jobs(trace, system, policy);
+  const CompiledTrace compiled = CompiledTrace::compile(trace);
+  const auto jobs = plan_jobs({&compiled}, system, policy);
   // Variant 1: dtrmm(RLNN), dtrsm(LLNN), trinv1_unb.
   ASSERT_EQ(jobs.size(), 3u);
   for (const ModelJob& job : jobs) {
@@ -188,10 +259,11 @@ TEST(Plan, DerivesOneJobPerDistinctKeyWithCoveringDomain) {
 TEST(Plan, OutOfCacheAddsRepetitions) {
   const CallTrace trace = trace_trinv(1, 128, 32);
   PlanningPolicy policy;
+  const CompiledTrace compiled = CompiledTrace::compile(trace);
   const auto in_jobs =
-      plan_jobs(trace, {"blocked", Locality::InCache}, policy);
+      plan_jobs({&compiled}, {"blocked", Locality::InCache}, policy);
   const auto out_jobs =
-      plan_jobs(trace, {"blocked", Locality::OutOfCache}, policy);
+      plan_jobs({&compiled}, {"blocked", Locality::OutOfCache}, policy);
   ASSERT_FALSE(in_jobs.empty());
   EXPECT_EQ(in_jobs[0].request.sampler.reps, policy.reps);
   EXPECT_EQ(out_jobs[0].request.sampler.reps,
@@ -202,6 +274,80 @@ TEST(Plan, RegionUnionIsBoundingBox) {
   const Region u =
       region_union(Region({8, 16}, {64, 32}), Region({4, 24}, {32, 96}));
   EXPECT_EQ(u, Region({4, 16}, {64, 96}));
+}
+
+TEST(Plan, CompiledPlanMatchesTraceOracle) {
+  // Every built-in family and variant, with sizes and blocksizes that
+  // leave remainder blocks below the policy's domain_lo of 8 (e.g. 257 =
+  // 8 * 32 + 1), and two-axis families with m != n.
+  const index_t sizes[] = {8, 100, 257, 384};
+  const index_t blocks[] = {8, 32, 100, 300};
+  const OperationRegistry& registry = OperationRegistry::instance();
+  std::map<std::string, std::vector<OperationSpec>> families;
+  for (const char* name : {"trinv", "sylv", "chol"}) {
+    const OperationDescriptor& family = registry.require(name);
+    for (int v = 1; v <= family.variant_count; ++v) {
+      for (std::size_t i = 0; i < std::size(sizes); ++i) {
+        const index_t m =
+            family.size_axes == 2 ? sizes[(i + 1) % std::size(sizes)] : 0;
+        for (const index_t b : blocks) {
+          families[name].push_back(OperationSpec::of(name, v, m, sizes[i], b));
+          ASSERT_TRUE(families[name].back().validate().ok())
+              << families[name].back().to_string();
+        }
+      }
+    }
+  }
+
+  const PlanningPolicy policy;
+  for (const Locality locality : {Locality::InCache, Locality::OutOfCache}) {
+    const SystemSpec system{"blocked", locality};
+    const auto check = [&](const std::vector<OperationSpec>& specs,
+                           const std::string& what) {
+      SCOPED_TRACE(what + " (" + locality_name(locality) + ")");
+      expect_same_jobs(plan_jobs_for_specs(specs, system, policy),
+                       oracle_jobs(traces_of(specs), system, policy));
+    };
+    std::vector<OperationSpec> all;
+    for (const auto& [name, specs] : families) {
+      for (const OperationSpec& spec : specs) check({spec}, spec.to_string());
+      // Blocksize sweeps (one variant and size) and variant sweeps (one
+      // size and blocksize), as tune and rank ask for them.
+      std::map<std::string, std::vector<OperationSpec>> tunes, ranks;
+      for (const OperationSpec& spec : specs) {
+        OperationSpec key = spec;
+        key.blocksize = 0;
+        tunes[key.to_string()].push_back(spec);
+        key = spec;
+        key.variant = 0;
+        ranks[key.to_string()].push_back(spec);
+      }
+      for (const auto& [what, sweep] : tunes) check(sweep, "tune " + what);
+      for (const auto& [what, sweep] : ranks) check(sweep, "rank " + what);
+      check(specs, "every " + name + " spec");
+      all.insert(all.end(), specs.begin(), specs.end());
+    }
+    // Mixed families at one (n, b): trinv's and sylv's dgemm NN calls
+    // fold into one key; chol shares no key with either.
+    for (std::size_t i = 0; i < std::size(sizes); ++i) {
+      for (const index_t b : blocks) {
+        std::vector<OperationSpec> mixed;
+        for (int v = 1; v <= kTrinvVariantCount; ++v) {
+          mixed.push_back(OperationSpec::trinv(v, sizes[i], b));
+        }
+        for (int v = 1; v <= kCholVariantCount; ++v) {
+          mixed.push_back(OperationSpec::chol(v, sizes[i], b));
+        }
+        for (int v = 1; v <= kSylvVariantCount; ++v) {
+          mixed.push_back(OperationSpec::sylv(
+              v, sizes[(i + 1) % std::size(sizes)], sizes[i], b));
+        }
+        check(mixed, "trinv + chol + sylv n=" + std::to_string(sizes[i]) +
+                         " b=" + std::to_string(b));
+      }
+    }
+    check(all, "every spec");
+  }
 }
 
 // ---------------------------------------------------------------- intern
@@ -249,13 +395,93 @@ TEST(Engine, InternedPathBitIdenticalToStringKeyedPath) {
   const CallTrace trace = spec.trace();
   reference::Models set;
   for (const ModelJob& job :
-       plan_jobs(trace, t.engine.config().system, t.engine.config().planning)) {
+       reference::plan_jobs({&trace}, t.engine.config().system,
+                            t.engine.config().planning)) {
     auto model = t.engine.service().find(ModelService::key_for(job));
     ASSERT_NE(model, nullptr);
     set.add(model);
   }
   const Prediction reference = reference::predict(trace, set);
   expect_identical(*via_engine, reference);
+}
+
+TEST(Engine, ColdQueriesGenerateOverThePlannedDomains) {
+  {
+    TempEngine t("dlap_test_api_plan_rank");
+    const RankQuery query = RankQuery::sylv_variants(100, 257, 32);
+    const auto ranked = t.engine.rank(query);
+    ASSERT_TRUE(ranked.ok()) << ranked.status().to_string();
+    expect_generated_as_planned(t.engine, traces_of(query.candidates));
+  }
+  {
+    TempEngine t("dlap_test_api_plan_tune");
+    TuneQuery query;
+    query.spec = OperationSpec::chol(2, 257, 32);
+    query.lo = 8;
+    query.hi = 100;
+    query.step = 23;
+    const auto tuned = t.engine.tune(query);
+    ASSERT_TRUE(tuned.ok()) << tuned.status().to_string();
+    std::vector<OperationSpec> sweep;
+    for (const index_t b : tuned->values) {
+      sweep.push_back(query.spec);
+      sweep.back().blocksize = b;
+    }
+    ASSERT_EQ(sweep.size(), 5u);
+    expect_generated_as_planned(t.engine, traces_of(sweep));
+  }
+  {
+    TempEngine t("dlap_test_api_plan_prepare");
+    const std::vector<OperationSpec> specs = {
+        OperationSpec::trinv(3, 257, 32), OperationSpec::chol(3, 384, 100),
+        OperationSpec::sylv(5, 100, 257, 32)};
+    ASSERT_TRUE(t.engine.prepare(specs).ok());
+    expect_generated_as_planned(t.engine, traces_of(specs));
+  }
+  {
+    TempEngine t("dlap_test_api_plan_raw");
+    CallTrace trace = OperationSpec::trinv(2, 100, 32).trace();
+    for (KernelCall& call : OperationSpec::chol(1, 257, 100).trace()) {
+      trace.push_back(std::move(call));
+    }
+    const auto predicted = t.engine.predict(PredictQuery::of(trace));
+    ASSERT_TRUE(predicted.ok()) << predicted.status().to_string();
+    expect_generated_as_planned(t.engine, {trace});
+  }
+}
+
+TEST(Engine, WidenedKeyRegeneratesOverPlanUnionStoredDomain) {
+  TempEngine t("dlap_test_api_plan_widen");
+  const SystemSpec& system = t.engine.config().system;
+  const PlanningPolicy& policy = t.engine.config().planning;
+  // b needs larger sizes than a under every key a uses.
+  const OperationSpec a = OperationSpec::trinv(1, 96, 16);
+  const OperationSpec b = OperationSpec::trinv(1, 256, 100);
+  ASSERT_TRUE(t.engine.prepare({a}).ok());
+  std::map<ModelKey, Region> stored;
+  for (const ModelJob& job : oracle_jobs(traces_of({a}), system, policy)) {
+    const ModelKey key = ModelService::key_for(job);
+    const auto model = t.engine.service().find(key);
+    ASSERT_NE(model, nullptr) << key.to_string();
+    stored.emplace(key, model->model.domain());
+  }
+
+  const auto ranked = t.engine.rank(RankQuery{{a, b}, std::nullopt});
+  ASSERT_TRUE(ranked.ok()) << ranked.status().to_string();
+  const auto jobs = oracle_jobs(traces_of({a, b}), system, policy);
+  ASSERT_EQ(jobs.size(), stored.size());
+  for (const ModelJob& job : jobs) {
+    const ModelKey key = ModelService::key_for(job);
+    const auto it = stored.find(key);
+    ASSERT_NE(it, stored.end()) << key.to_string();
+    const auto model = t.engine.service().find(key);
+    ASSERT_NE(model, nullptr) << key.to_string();
+    EXPECT_NE(model->model.domain(), it->second)
+        << key.to_string() << " was not regenerated";
+    EXPECT_EQ(model->model.domain(),
+              region_union(job.request.domain, it->second))
+        << key.to_string();
+  }
 }
 
 TEST(Engine, PredictManyMatchesSequentialBitIdentically) {
@@ -466,6 +692,33 @@ TEST(Engine, InvalidSpecsReportInvalidQuery) {
   const auto bad_tune = t.engine.tune(bad_sweep);
   ASSERT_FALSE(bad_tune.ok());
   EXPECT_EQ(bad_tune.status().code, StatusCode::InvalidQuery);
+}
+
+TEST(Engine, RawTraceCallsMustMatchTheirSignature) {
+  // Both calls share one (routine, flags) key but not its arity; the
+  // engine must refuse the trace before it compiles or resolves it.
+  EngineConfig cfg = test_config("dlap_test_api_raw_arity");
+  cfg.generate_missing = false;
+  TempEngine t("dlap_test_api_raw_arity", std::move(cfg));
+  KernelCall three_sizes = parse_call("dtrsm(L,L,N,N,64,64,1,A,64,B,64)");
+  three_sizes.sizes.push_back(64);
+  const KernelCall two_sizes =
+      parse_call("dtrsm(L,L,N,N,32,32,1,A,64,B,64)");
+  const auto arity =
+      t.engine.predict(PredictQuery::of(CallTrace{three_sizes, two_sizes}));
+  ASSERT_FALSE(arity.ok());
+  EXPECT_EQ(arity.status().code, StatusCode::InvalidQuery);
+  EXPECT_NE(arity.status().message.find("call 0"), std::string::npos)
+      << arity.status().message;
+
+  KernelCall three_flags = two_sizes;
+  three_flags.flags.pop_back();
+  const auto flags =
+      t.engine.predict(PredictQuery::of(CallTrace{two_sizes, three_flags}));
+  ASSERT_FALSE(flags.ok());
+  EXPECT_EQ(flags.status().code, StatusCode::InvalidQuery);
+  EXPECT_NE(flags.status().message.find("call 1"), std::string::npos)
+      << flags.status().message;
 }
 
 TEST(Engine, ZeroSizeOnlyTraceSkipsEveryCall) {

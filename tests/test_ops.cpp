@@ -1,17 +1,18 @@
 // Tests for the OperationRegistry: built-in family registration, the
 // registry-driven OperationSpec/RankQuery surface, edge cases (unknown
 // family names, out-of-range variants, registration idempotence) and
-// end-to-end registration of a custom family with its own domain planner.
+// end-to-end registration of a custom family, planned from the calls its
+// algorithm issues.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 
 #include "algorithms/chol.hpp"
 #include "algorithms/sylv.hpp"
 #include "algorithms/trinv.hpp"
+#include "api/plan.hpp"
 #include "ops/registry.hpp"
 #include "predict/compiled_trace.hpp"
 #include "predict/trace.hpp"
@@ -157,11 +158,8 @@ TEST(OperationRegistry, CholFamilyDrivesSpecsTracesAndFlops) {
   EXPECT_EQ(RankQuery::chol_variants(96, 32).candidates.size(), 3u);
 }
 
-TEST(OperationRegistry, CustomFamilyWithCustomPlannerEndToEnd) {
-  // A square-gemm family: variant 1 issues one dgemm(N,N) of order n. Its
-  // planner tags the planned jobs with a recognizable domain instead of
-  // using the trace-driven default.
-  static std::atomic<int> planner_runs{0};
+TEST(OperationRegistry, CustomFamilyEndToEnd) {
+  // A square-gemm family: variant 1 issues one dgemm(N,N) of order n.
   OperationDescriptor op;
   op.name = "test_square_gemm";
   op.variant_count = 1;
@@ -173,21 +171,6 @@ TEST(OperationRegistry, CustomFamilyWithCustomPlannerEndToEnd) {
   op.nominal_flops = [](const OperationSpec& s) {
     const double n = static_cast<double>(s.n);
     return 2.0 * n * n * n;
-  };
-  op.plan = [](const std::vector<OperationSpec>& specs,
-               const SystemSpec& system, const PlanningPolicy& policy) {
-    ++planner_runs;
-    index_t hi = policy.min_domain_hi;
-    for (const OperationSpec& s : specs) hi = std::max(hi, s.n);
-    ModelJob job;
-    job.backend = system.backend;
-    job.request.routine = RoutineId::Gemm;
-    job.request.flags = {'N', 'N'};
-    job.request.sampler.locality = system.locality;
-    job.request.domain = Region({policy.domain_lo, policy.domain_lo,
-                                 policy.domain_lo},
-                                {hi, hi, hi});
-    return std::vector<ModelJob>{job};
   };
   (void)OperationRegistry::instance().register_family(std::move(op));
 
@@ -215,7 +198,6 @@ TEST(OperationRegistry, CustomFamilyWithCustomPlannerEndToEnd) {
   const SystemSpec system{"blocked", Locality::InCache};
   const auto jobs = plan_jobs_for_specs({spec}, system, PlanningPolicy{});
   ASSERT_EQ(jobs.size(), 1u);
-  EXPECT_GE(planner_runs.load(), 1);
   EXPECT_EQ(jobs[0].request.domain, Region({8, 8, 8}, {100, 100, 100}));
 }
 

@@ -110,30 +110,30 @@ std::map<std::string, std::string> repository_files(const fs::path& dir) {
 // ----------------------------------------------- concurrent generation
 
 TEST(ModelService, GenerateAllIsBitIdenticalToSequential) {
-  const fs::path dir_par = fresh_dir("dlap_svc_par");
   const fs::path dir_seq = fresh_dir("dlap_svc_seq");
   const std::vector<ModelJob> jobs = four_jobs();
-
-  ModelService parallel(synthetic_config(dir_par, 4));
   ModelService sequential(synthetic_config(dir_seq, 1));
-
-  const auto par_models = parallel.generate_all(jobs);
   const auto seq_models = sequential.generate_all_sequential(jobs);
-  ASSERT_EQ(par_models.size(), jobs.size());
   ASSERT_EQ(seq_models.size(), jobs.size());
-
-  // Same models in memory...
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(ModelRepository::serialize(*par_models[i]),
-              ModelRepository::serialize(*seq_models[i]));
-  }
-  // ... and bit-identical repository files.
-  const auto par_files = repository_files(dir_par);
   const auto seq_files = repository_files(dir_seq);
-  ASSERT_EQ(par_files.size(), jobs.size());
-  EXPECT_EQ(par_files, seq_files);
+  ASSERT_EQ(seq_files.size(), jobs.size());
 
-  fs::remove_all(dir_par);
+  for (const index_t workers : {2, 4, 8}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    const fs::path dir_par = fresh_dir("dlap_svc_par");
+    ModelService parallel(synthetic_config(dir_par, workers));
+    const auto par_models = parallel.generate_all(jobs);
+    ASSERT_EQ(par_models.size(), jobs.size());
+
+    // Same models in memory...
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(ModelRepository::serialize(*par_models[i]),
+                ModelRepository::serialize(*seq_models[i]));
+    }
+    // ... and bit-identical repository files.
+    EXPECT_EQ(repository_files(dir_par), seq_files);
+    fs::remove_all(dir_par);
+  }
   fs::remove_all(dir_seq);
 }
 
