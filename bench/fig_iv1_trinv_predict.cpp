@@ -6,8 +6,7 @@
 //
 // All predictions flow through the shared Engine: one prepare() per
 // system generates the sweep's models as a concurrent batch, then each
-// size asks for all (variant, system) combinations with one batched
-// predict_many call.
+// size predicts every (variant, system) combination.
 //
 // Output: per n, measured efficiency of each variant, then the in-cache
 // and out-of-cache median predictions and the in-cache min/mean/max for
@@ -42,25 +41,17 @@ int main() {
   index_t points = 0;
   std::vector<double> top1_hits;
   for (index_t n = 96; n <= sc.sweep_max; n += step) {
-    std::vector<PredictQuery> queries;
-    for (int v = 1; v <= kTrinvVariantCount; ++v) {
-      PredictQuery q =
-          PredictQuery::of(OperationSpec::trinv(v, n, sc.blocksize));
-      q.system = in_sys;
-      queries.push_back(q);
-      q.system = out_sys;
-      queries.push_back(q);
-    }
-    const auto predictions = engine.predict_many(queries);
-
     std::vector<double> meas_eff, in_eff, out_eff;
     std::vector<double> meas_ticks, in_ticks;
     for (int v = 1; v <= kTrinvVariantCount; ++v) {
       const double mt =
           measure_trinv_ticks(backend, v, n, sc.blocksize, sc.reps);
-      const std::size_t qi = static_cast<std::size_t>(2 * (v - 1));
-      const double it = require_ok(predictions[qi]).ticks.median;
-      const double ot = require_ok(predictions[qi + 1]).ticks.median;
+      PredictQuery q =
+          PredictQuery::of(OperationSpec::trinv(v, n, sc.blocksize));
+      q.system = in_sys;
+      const double it = require_ok(engine.predict(q)).ticks.median;
+      q.system = out_sys;
+      const double ot = require_ok(engine.predict(q)).ticks.median;
       meas_ticks.push_back(mt);
       in_ticks.push_back(it);
       meas_eff.push_back(trinv_efficiency(n, mt));

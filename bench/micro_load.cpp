@@ -224,15 +224,11 @@ EngineConfig engine_config(const fs::path& repo_dir) {
 
 std::vector<SampleStats> predict_all(Engine& engine,
                                      const std::vector<OperationSpec>& specs) {
-  std::vector<PredictQuery> queries;
-  queries.reserve(specs.size());
-  for (const OperationSpec& spec : specs) {
-    queries.push_back(PredictQuery::of(spec));
-  }
   std::vector<SampleStats> out;
-  for (const Result<Prediction>& r : engine.predict_many(queries)) {
-    bench::require_ok(r);
-    out.push_back(r->ticks);
+  out.reserve(specs.size());
+  for (const OperationSpec& spec : specs) {
+    out.push_back(
+        bench::require_ok(engine.predict(PredictQuery::of(spec))).ticks);
   }
   return out;
 }

@@ -5,8 +5,7 @@
 //     prediction of a call it has never seen: the engine derives the
 //     modeling jobs it needs, generates the models through its
 //     ModelService, and answers with a Result instead of throwing,
-//  3. fan a batch of typed queries out across the engine's thread pool
-//     with predict_many,
+//  3. sweep a block size with one typed tune query,
 //  4. compare the prediction from step 2 to a fresh measurement.
 //
 // Build & run:  ./build/examples/quickstart
@@ -60,25 +59,28 @@ int main() {
               engine.service().repository().directory().c_str(),
               engine.interned_keys());
 
-  // --- 3. Batched typed queries ----------------------------------------
-  // Predict a whole block-size sweep of blocked triangular inversion in
-  // one call; independent queries run concurrently on the engine's pool.
-  std::vector<PredictQuery> sweep;
-  for (index_t b = 32; b <= 128; b += 32) {
-    sweep.push_back(PredictQuery::of(OperationSpec::trinv(1, 192, b)));
+  // --- 3. A typed sweep -------------------------------------------------
+  // Predict a whole block-size sweep of blocked triangular inversion with
+  // one tune query; the engine also names the predicted-fastest b.
+  TuneQuery sweep;
+  sweep.spec = OperationSpec::trinv(1, 192, 32);
+  sweep.lo = 32;
+  sweep.hi = 128;
+  sweep.step = 32;
+  const Result<TuneResult> tuned = engine.tune(sweep);
+  if (!tuned.ok()) {
+    std::fprintf(stderr, "tune failed: %s\n",
+                 tuned.status().to_string().c_str());
+    return 1;
   }
-  const auto results = engine.predict_many(sweep);
   std::printf("\ntrinv variant 1, n=192, predicted median ticks per b:\n");
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    if (!results[i].ok()) {
-      std::fprintf(stderr, "  query %zu failed: %s\n", i,
-                   results[i].status().to_string().c_str());
-      return 1;
-    }
+  for (std::size_t i = 0; i < tuned->values.size(); ++i) {
     std::printf("  b = %4lld : %12.0f\n",
-                static_cast<long long>(sweep[i].spec->blocksize),
-                results[i]->ticks.median);
+                static_cast<long long>(tuned->values[i]),
+                tuned->predictions[i].ticks.median);
   }
+  std::printf("  predicted best b = %lld\n",
+              static_cast<long long>(tuned->best_value()));
 
   // --- 4. ... and check step 2 against reality -------------------------
   std::printf("\nat m=144, n=112: predicted median %.0f ticks, "

@@ -12,18 +12,6 @@ namespace dlap {
 
 namespace {
 
-// True while the current thread is executing an engine task on the
-// service's ThreadPool. Fanning out again from such a thread (nested
-// parallel_for_each / generate_all) can deadlock a saturated pool, so
-// pool-side work generates inline and runs batches sequentially instead.
-thread_local bool tls_on_engine_pool = false;
-
-struct PoolScope {
-  bool prev = tls_on_engine_pool;
-  PoolScope() { tls_on_engine_pool = true; }
-  ~PoolScope() { tls_on_engine_pool = prev; }
-};
-
 /// True when `model` exists and its domain covers `needed`.
 bool covers_needed(const RoutineModel* model, const Region& needed) {
   return model != nullptr && model->model.domain().dims() == needed.dims() &&
@@ -62,39 +50,6 @@ Engine::Engine(EngineConfig config)
           std::max<index_t>(0, config_.trace_cache_capacity))),
       sweep_points_(compiled_traces_.capacity()),
       service_(config_.service) {}
-
-Engine::~Engine() {
-  std::unique_lock<std::mutex> lock(pending_mutex_);
-  pending_cv_.wait(lock, [this] { return pending_ == 0; });
-}
-
-template <class Fn>
-auto Engine::submit_tracked(Fn&& fn) -> std::future<decltype(fn())> {
-  {
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    ++pending_;
-  }
-  try {
-    return service_.pool().submit(
-        [this, fn = std::forward<Fn>(fn)]() -> decltype(fn()) {
-          struct Finish {
-            Engine* engine;
-            ~Finish() {
-              std::lock_guard<std::mutex> lock(engine->pending_mutex_);
-              if (--engine->pending_ == 0) engine->pending_cv_.notify_all();
-            }
-          } finish{this};
-          PoolScope scope;
-          return fn();
-        });
-  } catch (...) {
-    // Enqueue failed: no task will ever run the Finish guard, so roll the
-    // count back or ~Engine waits forever.
-    std::lock_guard<std::mutex> lock(pending_mutex_);
-    if (--pending_ == 0) pending_cv_.notify_all();
-    throw;
-  }
-}
 
 // ------------------------------------------------------------ compilation
 
@@ -199,11 +154,9 @@ Status Engine::resolve(
         }
       }
     }
-    struct PendingGen {
-      int id;
-      ModelJob job;
-    };
-    std::vector<PendingGen> to_generate;
+    // Keys to generate: their ids, and the jobs that generate them.
+    std::vector<int> to_generate;
+    std::vector<ModelJob> jobs;
     std::vector<ModelJob> planned;  // planned on the first key to generate
     for (const auto& [id, need] : needs) {
       if (resolved.count(id) != 0) continue;
@@ -244,43 +197,20 @@ Status Engine::resolve(
                              "planner produced no job for " +
                                  need.key.to_string());
       }
-      ModelJob job = *it;
-      if (stored != nullptr &&
-          stored->model.domain().dims() == job.request.domain.dims()) {
-        // Grow the stored domain instead of replacing it, so queries with
-        // disjoint parameter ranges do not regenerate back and forth.
-        job.request.domain =
-            region_union(job.request.domain, stored->model.domain());
-      }
-      to_generate.push_back({id, std::move(job)});
+      // The service grows a stored domain rather than replacing it.
+      to_generate.push_back(id);
+      jobs.push_back(*it);
     }
 
-    // --- Phase B: generate what is missing. One concurrent batch when on
-    // the caller's thread; inline when already on a pool worker (nested
-    // fan-out could deadlock a saturated pool). -------------------------
-    if (!to_generate.empty()) {
-      if (!tls_on_engine_pool) {
-        std::vector<ModelJob> jobs;
-        jobs.reserve(to_generate.size());
-        for (const PendingGen& p : to_generate) jobs.push_back(p.job);
-        try {
-          const auto models = service_.generate_all(jobs);
-          for (std::size_t i = 0; i < to_generate.size(); ++i) {
-            resolved[to_generate[i].id] = models[i];
-          }
-        } catch (const std::exception& e) {
-          return Status::error(StatusCode::GenerationFailed, e.what());
+    // --- Phase B: generate what is missing, as one concurrent batch. --
+    if (!jobs.empty()) {
+      try {
+        const auto models = service_.generate_all(jobs);
+        for (std::size_t i = 0; i < to_generate.size(); ++i) {
+          resolved[to_generate[i]] = models[i];
         }
-      } else {
-        for (const PendingGen& p : to_generate) {
-          std::string error;
-          auto model = service_.try_get_or_generate(p.job, &error);
-          if (model == nullptr) {
-            return Status::error(StatusCode::GenerationFailed,
-                                 needs[p.id].key.to_string() + ": " + error);
-          }
-          resolved[p.id] = std::move(model);
-        }
+      } catch (const std::exception& e) {
+        return Status::error(StatusCode::GenerationFailed, e.what());
       }
     }
 
@@ -410,7 +340,6 @@ Result<Prediction> Engine::predict(const PredictQuery& query) noexcept {
     if (Status s = resolve({point.get()}, system, &slots); !s.ok()) {
       return s;
     }
-    if (config_.query_hook) config_.query_hook();
     return slots[0]->prediction(point->trace());
   } catch (const std::exception& e) {
     return internal_error("Engine::predict", e);
@@ -505,6 +434,9 @@ Result<SampleStats> Engine::predict_call(
       call = parse_call(call_text);
     } catch (const parse_error& e) {
       return Status::error(StatusCode::ParseError, e.what());
+    } catch (const lookup_error& e) {
+      // An unknown routine name is malformed text, as in bind_predict.
+      return Status::error(StatusCode::ParseError, e.what());
     } catch (const invalid_argument_error& e) {
       return Status::error(StatusCode::InvalidQuery, e.what());
     }
@@ -517,45 +449,6 @@ Result<SampleStats> Engine::predict_call(
   } catch (const std::exception& e) {
     return internal_error("Engine::predict_call", e);
   }
-}
-
-std::vector<Result<Prediction>> Engine::predict_many(
-    const std::vector<PredictQuery>& queries) {
-  std::vector<Result<Prediction>> results(
-      queries.size(),
-      Result<Prediction>(
-          Status::error(StatusCode::InternalError, "query not executed")));
-  if (queries.empty()) return results;
-  if (tls_on_engine_pool) {
-    // Already on a pool worker (e.g. a submitted task batching further
-    // queries): fanning out again could deadlock; stay sequential.
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      results[i] = predict(queries[i]);
-    }
-    return results;
-  }
-  service_.pool().parallel_for_each(
-      static_cast<index_t>(queries.size()), [&](index_t i) {
-        PoolScope scope;
-        results[static_cast<std::size_t>(i)] =
-            predict(queries[static_cast<std::size_t>(i)]);
-      });
-  return results;
-}
-
-std::future<Result<Prediction>> Engine::submit(PredictQuery query) {
-  return submit_tracked(
-      [this, query = std::move(query)] { return predict(query); });
-}
-
-std::future<Result<Ranking>> Engine::submit(RankQuery query) {
-  return submit_tracked(
-      [this, query = std::move(query)] { return rank(query); });
-}
-
-std::future<Result<TuneResult>> Engine::submit(TuneQuery query) {
-  return submit_tracked(
-      [this, query = std::move(query)] { return tune(query); });
 }
 
 Status Engine::prepare(const std::vector<OperationSpec>& specs,

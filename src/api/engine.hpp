@@ -14,9 +14,9 @@
 //   - non-throwing answers: every entry point returns Result<T>
 //     (api/result.hpp) -- a failed query reports a status instead of
 //     unwinding the caller;
-//   - batched and async entry points: predict_many fans independent
-//     queries out across the service's ThreadPool; submit returns a
-//     std::future;
+//   - thread safety: every entry point may be called from many threads
+//     at once; callers that want queries to run concurrently bring their
+//     own threads (dlapd runs the engine from its worker pool);
 //   - the compiled sweep path: every query point is compiled to a
 //     CompiledTrace (deduped calls, predict/compiled_trace.hpp) with its
 //     resolver keys interned to dense ids (api/intern.hpp) and its models
@@ -33,12 +33,8 @@
 //     model at all.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -70,13 +66,6 @@ struct EngineConfig {
   /// sweep points (a trace under one system). 0 disables both layers;
   /// every spec query then recompiles its trace.
   index_t trace_cache_capacity = 4096;
-  /// Test/bench hook: invoked once per predict-query evaluation, after
-  /// model resolution and before the prediction is read. Lets throughput
-  /// benches make queries latency-bound to measure dispatch overlap
-  /// independently of the host's core count (the same trick
-  /// ServiceConfig::measure_factory plays for generation). Production
-  /// leaves it empty.
-  std::function<void()> query_hook;
 };
 
 /// What Engine::prepare did for the models a spec batch needs
@@ -120,11 +109,6 @@ class Engine {
  public:
   explicit Engine(EngineConfig config = {});
 
-  /// Blocks until every outstanding submit()ted query has finished:
-  /// dropping a future is legal, so the engine must not die under a
-  /// still-queued task.
-  ~Engine();
-
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -152,19 +136,6 @@ class Engine {
   [[nodiscard]] Result<SampleStats> predict_call(
       const std::string& call_text,
       std::optional<SystemSpec> system = {}) noexcept;
-
-  // --------------------------------------------------- batched / async
-
-  /// Evaluates independent queries concurrently across the service pool;
-  /// results come back in query order. Each query fails or succeeds on
-  /// its own.
-  [[nodiscard]] std::vector<Result<Prediction>> predict_many(
-      const std::vector<PredictQuery>& queries);
-
-  /// Asynchronous single queries on the service pool.
-  [[nodiscard]] std::future<Result<Prediction>> submit(PredictQuery query);
-  [[nodiscard]] std::future<Result<Ranking>> submit(RankQuery query);
-  [[nodiscard]] std::future<Result<TuneResult>> submit(TuneQuery query);
 
   // ----------------------------------------------------------- warm-up
 
@@ -256,12 +227,6 @@ class Engine {
       const SystemSpec& system,
       std::vector<std::shared_ptr<const ResolvedSlots>>* slots) noexcept;
 
-  /// Wraps a submitted task: counts it as pending until it finishes, so
-  /// the destructor can wait for the pool to drain dropped futures.
-  template <class Fn>
-  [[nodiscard]] auto submit_tracked(Fn&& fn)
-      -> std::future<decltype(fn())>;
-
   EngineConfig config_;
   KeyInterner interner_;
 
@@ -282,14 +247,8 @@ class Engine {
   mutable CompiledTraceCache compiled_traces_;
   mutable SweepPointCache sweep_points_;
 
-  // Outstanding submit() tasks; ~Engine waits for zero.
-  std::mutex pending_mutex_;
-  std::condition_variable pending_cv_;
-  index_t pending_ = 0;
-
-  // Declared last, so it is destroyed FIRST: the service's ThreadPool
-  // drains still-queued submit() tasks during destruction, and those
-  // tasks touch every member above -- which must outlive the drain.
+  // Runs generation (its ThreadPool fans model jobs and measurement
+  // batches out); queries run on the callers' threads.
   ModelService service_;
 };
 

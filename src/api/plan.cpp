@@ -7,16 +7,6 @@
 
 namespace dlap {
 
-Region region_union(const Region& a, const Region& b) {
-  DLAP_REQUIRE(a.dims() == b.dims(), "region_union: dimension mismatch");
-  std::vector<index_t> lo(a.lo()), hi(a.hi());
-  for (int d = 0; d < a.dims(); ++d) {
-    lo[static_cast<std::size_t>(d)] = std::min(a.lo(d), b.lo(d));
-    hi[static_cast<std::size_t>(d)] = std::max(a.hi(d), b.hi(d));
-  }
-  return Region(std::move(lo), std::move(hi));
-}
-
 std::vector<ModelJob> plan_jobs(const std::vector<const CompiledTrace*>& traces,
                                 const SystemSpec& system,
                                 const PlanningPolicy& policy) {

@@ -52,9 +52,4 @@ struct PlanningPolicy {
     const std::vector<OperationSpec>& specs, const SystemSpec& system,
     const PlanningPolicy& policy);
 
-/// Bounding box of two same-dimensional regions. Used to grow a stored
-/// model's domain instead of replacing it when a new query needs points
-/// outside it (prevents regeneration ping-pong between disjoint domains).
-[[nodiscard]] Region region_union(const Region& a, const Region& b);
-
 }  // namespace dlap

@@ -1,7 +1,7 @@
 #pragma once
 // The engine-level sweep compiler's cache types.
 //
-// A sweep (blocksize tuning, variant ranking, a predict_many burst)
+// A sweep (blocksize tuning, variant ranking, a burst of predictions)
 // revisits the same (family, variant, sizes, blocksize) points over and
 // over -- across the sweep's own iterations, across repeated user
 // queries, and across overlapping queries from many users -- and often

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace dlap {
 
@@ -49,9 +50,14 @@ class lookup_error : public std::runtime_error {
 };
 
 namespace detail {
+/// `file` is cut to its base name: dlapd copies this text into client
+/// answers, which must neither show the build's source root nor differ
+/// between two builds of one commit.
 [[noreturn]] inline void throw_invalid(const char* cond, const char* file,
                                        int line, const std::string& msg) {
-  throw invalid_argument_error(std::string(file) + ":" + std::to_string(line) +
+  const std::string_view path(file);
+  const std::string_view base = path.substr(path.find_last_of('/') + 1);
+  throw invalid_argument_error(std::string(base) + ":" + std::to_string(line) +
                                ": requirement `" + cond + "` violated" +
                                (msg.empty() ? "" : (": " + msg)));
 }
@@ -60,7 +66,8 @@ namespace detail {
 }  // namespace dlap
 
 /// Precondition check on public API boundaries; throws
-/// dlap::invalid_argument_error with source location when violated.
+/// dlap::invalid_argument_error naming the source file (base name) and
+/// line when violated.
 #define DLAP_REQUIRE(cond, msg)                                         \
   do {                                                                  \
     if (!(cond)) {                                                      \

@@ -97,6 +97,16 @@ index_t snap_to_grid(index_t x, index_t g, index_t lo, index_t hi) {
   return snapped;
 }
 
+Region region_union(const Region& a, const Region& b) {
+  DLAP_REQUIRE(a.dims() == b.dims(), "region_union: dimension mismatch");
+  std::vector<index_t> lo(a.lo()), hi(a.hi());
+  for (int d = 0; d < a.dims(); ++d) {
+    lo[static_cast<std::size_t>(d)] = std::min(a.lo(d), b.lo(d));
+    hi[static_cast<std::size_t>(d)] = std::max(a.hi(d), b.hi(d));
+  }
+  return Region(std::move(lo), std::move(hi));
+}
+
 std::vector<Region> Region::split(index_t min_size,
                                   index_t granularity) const {
   std::vector<int> split_dims;

@@ -77,4 +77,9 @@ class Region {
 [[nodiscard]] index_t snap_to_grid(index_t x, index_t g, index_t lo,
                                    index_t hi);
 
+/// Bounding box of two same-dimensional regions. Used to grow a stored
+/// model's domain instead of replacing it when a new query needs points
+/// outside it (prevents regeneration ping-pong between disjoint domains).
+[[nodiscard]] Region region_union(const Region& a, const Region& b);
+
 }  // namespace dlap

@@ -78,7 +78,6 @@ std::shared_ptr<const RoutineModel> ModelService::find(
 
 std::shared_ptr<const RoutineModel> ModelService::reusable(
     const ModelJob& job, const ModelKey& key) const {
-  if (!config_.reuse_stored) return nullptr;
   std::shared_ptr<const RoutineModel> stored = find(key);
   if (stored != nullptr &&
       stored->model.domain().covers(job.request.domain)) {
@@ -113,7 +112,20 @@ std::uint64_t ModelService::stats_epoch() const {
 }
 
 std::shared_ptr<const RoutineModel> ModelService::generate_one(
-    const ModelJob& job, const ModelKey& key, bool sequential) {
+    const ModelJob& requested, const ModelKey& key, bool sequential) {
+  // Grow the stored model's domain instead of replacing it, so queries
+  // with different parameter ranges do not regenerate back and forth.
+  // The caller holds the key's in-flight claim, so nothing else stores
+  // the key meanwhile: each stored domain covers the one before it, and
+  // concurrent generations of one key end on the bounding box of all
+  // their domains, in whatever order they ran.
+  ModelJob job = requested;
+  if (const auto stored = find(key);
+      stored != nullptr &&
+      stored->model.domain().dims() == job.request.domain.dims()) {
+    job.request.domain =
+        region_union(job.request.domain, stored->model.domain());
+  }
   if (config_.verbose) {
     std::fprintf(stderr, "[dlaperf] generating model %s ...\n",
                  key.to_string().c_str());
@@ -259,18 +271,6 @@ ModelService::generate_all_sequential(const std::vector<ModelJob>& jobs) {
     out.push_back(get_or_generate_impl(job, /*sequential=*/true));
   }
   return out;
-}
-
-std::shared_ptr<const RoutineModel> ModelService::try_get_or_generate(
-    const ModelJob& job, std::string* error) noexcept {
-  try {
-    return get_or_generate(job);
-  } catch (const std::exception& e) {
-    if (error != nullptr) *error = e.what();
-  } catch (...) {
-    if (error != nullptr) *error = "unknown error";
-  }
-  return nullptr;
 }
 
 std::shared_ptr<const RoutineModel> ModelService::get_or_generate(

@@ -92,9 +92,6 @@ struct ServiceConfig {
   /// Strategy for every generated model (the paper selects Adaptive
   /// Refinement with epsilon = 10%, s_min = 32 in III-D3 -- the defaults).
   RefinementConfig refinement;
-  /// Serve a stored model instead of regenerating when its domain covers
-  /// the requested one.
-  bool reuse_stored = true;
   /// Progress lines on stderr.
   bool verbose = false;
   /// Test/bench hook: when set, replaces the real Sampler as the
@@ -146,8 +143,9 @@ class ModelService {
   /// task per distinct key (duplicate keys are generated once); results
   /// come back in job order and are stored in the repository. Jobs whose
   /// key is already stored with a covering domain are served from the
-  /// repository when config().reuse_stored is set. The first generation
-  /// error (in job order) is rethrown after all tasks settle.
+  /// repository; otherwise a stored domain grows to the bounding box of
+  /// itself and the job's, never shrinks. The first generation error (in
+  /// job order) is rethrown after all tasks settle.
   [[nodiscard]] std::vector<std::shared_ptr<const RoutineModel>> generate_all(
       const std::vector<ModelJob>& jobs);
 
@@ -163,12 +161,6 @@ class ModelService {
   /// calls for one key share a single generation.
   [[nodiscard]] std::shared_ptr<const RoutineModel> get_or_generate(
       const ModelJob& job);
-
-  /// Exception-free get_or_generate for callers that propagate errors as
-  /// values (the Engine facade): returns nullptr on failure and, when
-  /// `error` is non-null, stores the failure description there.
-  [[nodiscard]] std::shared_ptr<const RoutineModel> try_get_or_generate(
-      const ModelJob& job, std::string* error) noexcept;
 
   /// Repository lookup only; nullptr when the key has never been modeled.
   /// Unlike ModelRepository::find, a stored file that fails to parse is
@@ -191,13 +183,15 @@ class ModelService {
   using ModelFuture = std::shared_future<std::shared_ptr<const RoutineModel>>;
   using ModelPromise = std::promise<std::shared_ptr<const RoutineModel>>;
 
-  /// Stored model if reusable under config().reuse_stored, else nullptr.
+  /// Stored model when its domain covers the job's, else nullptr.
   [[nodiscard]] std::shared_ptr<const RoutineModel> reusable(
       const ModelJob& job, const ModelKey& key) const;
 
-  /// Runs the full generation pipeline for one job and stores the
-  /// result. `sequential` forces Exclusive measurement scheduling even
-  /// for factory sources (the bit-identity reference path).
+  /// Runs the full generation pipeline for one job, over its domain grown
+  /// by the stored model's, and stores the result. The caller holds the
+  /// key's in-flight claim. `sequential` forces Exclusive measurement
+  /// scheduling even for factory sources (the bit-identity reference
+  /// path).
   [[nodiscard]] std::shared_ptr<const RoutineModel> generate_one(
       const ModelJob& job, const ModelKey& key, bool sequential);
 

@@ -1,7 +1,6 @@
 // Tests for the Engine facade: Result semantics, typed queries, spec ->
 // job planning, the interned resolver fast path (bit-identity with the
-// string-keyed path), batched/async execution, and the non-throwing error
-// statuses.
+// string-keyed path), and the non-throwing error statuses.
 //
 // All model generation uses ServiceConfig::measure_factory with a
 // deterministic synthetic cost surface, so the tests run in milliseconds
@@ -10,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <future>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -484,65 +482,6 @@ TEST(Engine, WidenedKeyRegeneratesOverPlanUnionStoredDomain) {
   }
 }
 
-TEST(Engine, PredictManyMatchesSequentialBitIdentically) {
-  TempEngine t("dlap_test_api_many");
-  std::vector<PredictQuery> queries;
-  std::vector<OperationSpec> specs;
-  for (int v = 1; v <= kTrinvVariantCount; ++v) {
-    for (index_t n : {96, 128}) {
-      specs.push_back(OperationSpec::trinv(v, n, 32));
-      queries.push_back(PredictQuery::of(specs.back()));
-    }
-  }
-  queries.push_back(queries.front());  // duplicate key coverage
-  // Resolve all models up front: the bit-identity contract compares the
-  // two dispatch paths over the same resolved models (concurrent
-  // on-demand generation may legitimately settle domains in a different
-  // order otherwise).
-  ASSERT_TRUE(t.engine.prepare(specs).ok());
-  const auto batched = t.engine.predict_many(queries);
-  ASSERT_EQ(batched.size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto sequential = t.engine.predict(queries[i]);
-    ASSERT_TRUE(batched[i].ok()) << batched[i].status().to_string();
-    ASSERT_TRUE(sequential.ok());
-    expect_identical(*batched[i], *sequential);
-  }
-}
-
-TEST(Engine, SubmitRunsAsynchronously) {
-  TempEngine t("dlap_test_api_submit");
-  std::future<Result<Prediction>> f =
-      t.engine.submit(PredictQuery::of(OperationSpec::trinv(1, 128, 32)));
-  const Result<Prediction> async = f.get();
-  ASSERT_TRUE(async.ok()) << async.status().to_string();
-  const auto sync =
-      t.engine.predict(PredictQuery::of(OperationSpec::trinv(1, 128, 32)));
-  ASSERT_TRUE(sync.ok());
-  expect_identical(*async, *sync);
-
-  std::future<Result<Ranking>> fr =
-      t.engine.submit(RankQuery::trinv_variants(128, 32));
-  const Result<Ranking> ranking = fr.get();
-  ASSERT_TRUE(ranking.ok()) << ranking.status().to_string();
-  EXPECT_EQ(ranking->predictions.size(), 4u);
-}
-
-TEST(Engine, DestructionDrainsDroppedSubmits) {
-  // Dropping a submitted query's future and destroying the engine must be
-  // safe: the service pool (destroyed first) drains the queued task while
-  // the interner/cache it touches are still alive.
-  for (int i = 0; i < 8; ++i) {
-    TempEngine t("dlap_test_api_drop");
-    for (int v = 1; v <= kTrinvVariantCount; ++v) {
-      (void)t.engine.submit(
-          PredictQuery::of(OperationSpec::trinv(v, 96 + 16 * i, 16)));
-    }
-    // futures dropped; ~Engine runs with work possibly still queued
-  }
-  SUCCEED();
-}
-
 TEST(Engine, RankOrdersByMedianTicks) {
   TempEngine t("dlap_test_api_rank");
   const auto result = t.engine.rank(RankQuery::trinv_variants(160, 32));
@@ -634,6 +573,11 @@ TEST(Engine, PredictCallParsesAndPredictsText) {
   ASSERT_FALSE(invalid.ok());
   EXPECT_TRUE(invalid.status().code == StatusCode::ParseError ||
               invalid.status().code == StatusCode::InvalidQuery);
+
+  const auto unknown = t.engine.predict_call("dfoo(N,N,8,8,8,1,A,8,B,8,0,C,8)");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code, StatusCode::ParseError)
+      << unknown.status().to_string();
 }
 
 TEST(Engine, RanksCholVariantsThroughTheRegistry) {

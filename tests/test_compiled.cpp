@@ -748,6 +748,55 @@ TEST(EngineCompiled, ConcurrentFirstRankMatchesSequentialEngine) {
   }
 }
 
+TEST(EngineCompiled, ConcurrentColdQueriesShareGeneration) {
+  // Eight threads race one cold engine: four ask one trinv rank, four ask
+  // a blocksize tune of one trinv variant each at a larger n. The queries
+  // share keys over overlapping sizes, so every caller thread generates,
+  // joins or grows the same models at once, each fanning its batch out
+  // over the service pool.
+  const RankQuery rank = RankQuery::trinv_variants(160, 32);
+  std::vector<TuneQuery> tunes;
+  for (int v = 1; v <= kTrinvVariantCount; ++v) {
+    TuneQuery tune;
+    tune.spec = OperationSpec::trinv(v, 192, 32);
+    tune.lo = 16;
+    tune.hi = 64;
+    tune.step = 16;
+    tunes.push_back(tune);
+  }
+  TempEngine t("dlap_test_compiled_cold_race");
+  constexpr int kThreads = 8;
+  std::vector<Status> answers(
+      kThreads, Status::error(StatusCode::InternalError, "not run"));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      answers[static_cast<std::size_t>(i)] =
+          i % 2 == 0 ? t.engine.rank(rank).status()
+                     : t.engine.tune(tunes[static_cast<std::size_t>(i / 2)])
+                           .status();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    EXPECT_TRUE(answers[i].ok()) << i << ": " << answers[i].to_string();
+  }
+
+  // The stored domains grew to cover every query: an engine that may not
+  // generate answers each of them from the repository alone.
+  EngineConfig cfg = test_config("dlap_test_compiled_cold_race");
+  cfg.generate_missing = false;
+  Engine stored(cfg);
+  const auto ranked = stored.rank(rank);
+  EXPECT_TRUE(ranked.ok()) << ranked.status().to_string();
+  for (const TuneQuery& tune : tunes) {
+    const auto tuned = stored.tune(tune);
+    EXPECT_TRUE(tuned.ok()) << tuned.status().to_string();
+  }
+}
+
 TEST(EngineCompiled, SystemsShareCompiledTraces) {
   // A 16-schedule sylv rank and an 8-point trinv tune, asked under X and
   // then under Y. Models for both systems go on disk first, so every

@@ -529,15 +529,23 @@ TEST(Binding, EveryPredictFieldErrorNamesTheField) {
       {"{\"calls\":[7]}", "'calls[0]'"},
       {"{\"calls\":[\"trinv1_unb(64,A,64)\",\"garbage(\"]}", "'calls[1]'"},
       {"{\"calls\":[\"dgemm_(N,N,8,8,8,1,A,8,B,8,0,C,8)\"]}", "'calls[0]'"},
+      {"{\"calls\":[\"dtrsm(L,L,N,N,-4,64,1,A,512,B,512)\"]}", "'calls[0]'"},
       {"{\"op\":\"chol\",\"system\":{\"locality\":\"nowhere\"}}",
        "'system.locality'"},
       {"{\"op\":\"chol\",\"system\":{\"backend\":4}}", "'system.backend'"},
       {"{\"op\":\"chol\",\"system\":{\"cpu\":\"x\"}}", "'cpu'"},
   };
+  // Answers go to clients: no message may show where the library was
+  // built (the source root, found from this file's own path).
+  const std::string source_root =
+      fs::path(__FILE__).parent_path().parent_path().string();
+  ASSERT_FALSE(source_root.empty());
   for (const Case& c : cases) {
     const Status s = predict_status(c.body);
     EXPECT_EQ(s.code, StatusCode::ParseError) << c.body;
     EXPECT_NE(s.message.find(c.named), std::string::npos)
+        << c.body << " -> " << s.message;
+    EXPECT_EQ(s.message.find(source_root), std::string::npos)
         << c.body << " -> " << s.message;
   }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Checks that every relative markdown link in README.md and docs/*.md
 # points at an existing file or directory (anchors and absolute URLs are
-# ignored), and prints the example targets the docs mention so CI can
-# build exactly what the documentation promises.
+# ignored), that every backticked source file or bench/example/tool
+# program the docs name still exists, and prints the example targets the
+# docs mention so CI can build exactly what the documentation promises.
 #
 # Usage: tools/check_doc_links.sh [--list-doc-examples]
 #   (exit 1 on the first broken link; with --list-doc-examples, also
@@ -46,6 +47,16 @@ while IFS= read -r ref; do
   fi
 done < <(grep -ohE '`[A-Za-z0-9_./-]+\.(cpp|hpp|md|sh)`' "${docs[@]}" \
            | tr -d '`' | grep '/' | sort -u)
+
+# Programs are cited by target name too (`bench/micro_server`,
+# `tools/dlapd`): each must still have its source, <name>.cpp or <name>.sh.
+while IFS= read -r ref; do
+  if [[ ! -e "$ref.cpp" && ! -e "$ref.sh" ]]; then
+    echo "STALE PROGRAM REFERENCE: $ref (mentioned in README.md/docs)" >&2
+    fail=1
+  fi
+done < <(grep -ohE '`(bench|examples|tools)/[A-Za-z0-9_]+`' "${docs[@]}" \
+           | tr -d '`' | sort -u)
 
 if [[ "${1:-}" == "--list-doc-examples" ]]; then
   grep -ohE 'examples/[A-Za-z0-9_]+\.cpp' "${docs[@]}" \
