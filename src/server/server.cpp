@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <utility>
@@ -46,6 +47,13 @@ void set_socket_timeouts(int fd, int timeout_ms) {
 ServerConfig with_defaults(ServerConfig config) {
   if (!config.clock) config.clock = steady_clock_fn();
   return config;
+}
+
+std::uint64_t micros_since(std::chrono::steady_clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
 }
 
 }  // namespace
@@ -351,8 +359,12 @@ ServerStats Server::stats() const {
   out.parse_errors = parse_errors_.load(std::memory_order_relaxed);
   out.timeouts = timeouts_.load(std::memory_order_relaxed);
   out.reloads_started = reloads_started_.load(std::memory_order_relaxed);
-  out.reloads_completed = reloads_completed_.load(std::memory_order_relaxed);
+  // Acquire pairs with the completion bump: a counted reload's swap time
+  // is visible with it.
+  out.reloads_completed = reloads_completed_.load(std::memory_order_acquire);
   out.reloads_failed = reloads_failed_.load(std::memory_order_relaxed);
+  out.last_swap_us = last_swap_us_.load(std::memory_order_relaxed);
+  out.last_release_us = last_release_us_.load(std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(reload_error_mutex_);
     out.last_reload_error = last_reload_error_;
@@ -404,6 +416,9 @@ HttpResponse Server::handle_stats(const HttpRequest&) {
              Json::number(static_cast<double>(s.reloads_completed)));
   reload.set("failed", Json::number(static_cast<double>(s.reloads_failed)));
   reload.set("last_error", Json::string(s.last_reload_error));
+  reload.set("last_swap_us", Json::number(static_cast<double>(s.last_swap_us)));
+  reload.set("last_release_us",
+             Json::number(static_cast<double>(s.last_release_us)));
 
   const auto lru = [](const LruStats& stats) {
     Json out = Json::object();
@@ -454,9 +469,22 @@ HttpResponse Server::handle_reload(const HttpRequest& request) {
   // their pinned models), and concurrent reload requests serialize.
   auto ignored = admin_pool_->submit(
       [this, specs = std::move(specs), system = std::move(system)] {
+        const auto start = std::chrono::steady_clock::now();
+        // Holding the container attached now keeps Engine::reload from
+        // unmapping it. Once compaction has renamed a new file over it,
+        // dropping its last mapping makes the filesystem free the file's
+        // blocks, which can take tens of milliseconds; the reference is
+        // dropped only after completion is published.
+        std::shared_ptr<const storage::ContainerReader> replaced =
+            engine_.service().repository().container();
         const Status status = engine_.reload(specs, system);
         if (status.ok()) {
-          reloads_completed_.fetch_add(1, std::memory_order_relaxed);
+          last_swap_us_.store(micros_since(start), std::memory_order_relaxed);
+          reloads_completed_.fetch_add(1, std::memory_order_release);
+          const auto released = std::chrono::steady_clock::now();
+          replaced.reset();
+          last_release_us_.store(micros_since(released),
+                                 std::memory_order_relaxed);
         } else {
           reloads_failed_.fetch_add(1, std::memory_order_relaxed);
           std::lock_guard<std::mutex> lock(reload_error_mutex_);

@@ -18,6 +18,10 @@
 //   POST /v1/admin/reload ──▶ admin pool (1 worker): Engine::reload --
 //   container re-attach + cache drop + optional background prepare;
 //   in-flight queries finish on their pinned snapshots (zero torn reads).
+//   Completion is published once the new container serves; only then
+//   does the admin task drop the container it replaced, so the
+//   filesystem's teardown of a file compaction renamed over runs after
+//   the reload, not inside it.
 //
 // Overload policy: admission is bounded at two points -- the connection
 // queue (full -> 503, the daemon answers instantly instead of letting
@@ -72,7 +76,7 @@ struct ServerConfig {
 };
 
 /// Counter snapshot served by GET /v1/stats (all monotonic since start,
-/// except the queue gauge).
+/// except the queue gauge and the last reload's stage times).
 struct ServerStats {
   std::uint64_t accepted = 0;        ///< connections accepted
   std::uint64_t requests = 0;        ///< complete requests parsed
@@ -87,6 +91,12 @@ struct ServerStats {
   std::uint64_t reloads_completed = 0;
   std::uint64_t reloads_failed = 0;
   std::string last_reload_error;
+  /// Last completed reload, admin task start to the completion bump.
+  std::uint64_t last_swap_us = 0;
+  /// Last completed reload, dropping the replaced container after the
+  /// bump (the unmap, and with it the file's teardown when compaction
+  /// replaced it).
+  std::uint64_t last_release_us = 0;
   std::size_t queue_depth = 0;
   std::size_t queue_peak = 0;
   LruStats trace_cache;              ///< engine sweep-point cache
@@ -186,6 +196,8 @@ class Server {
   std::atomic<std::uint64_t> reloads_started_{0};
   std::atomic<std::uint64_t> reloads_completed_{0};
   std::atomic<std::uint64_t> reloads_failed_{0};
+  std::atomic<std::uint64_t> last_swap_us_{0};
+  std::atomic<std::uint64_t> last_release_us_{0};
   mutable std::mutex reload_error_mutex_;
   std::string last_reload_error_;
 };

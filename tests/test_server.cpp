@@ -1607,12 +1607,29 @@ TEST(ServerLoopback, ReloadReplacesStoredRankText) {
 
   // Swap in a container with different models, the way compaction
   // publishes one, and reload through the daemon.
+  const std::weak_ptr<const storage::ContainerReader> replaced =
+      t.engine.service().repository().container();
+  ASSERT_FALSE(replaced.expired());
   const fs::path next = t.dir / "next.dlapc";
   fs::copy_file(new_repo / storage::kContainerFilename, next);
   fs::rename(next, live);
   ASSERT_EQ(client.request("POST", "/v1/admin/reload", "{}")->status, 202);
   ASSERT_TRUE(
       eventually([&] { return server.stats().reloads_completed == 1; }));
+  // The daemon drops the replaced container after publishing completion
+  // and keeps no reference to it; the stats report both reload stages.
+  EXPECT_TRUE(eventually([&] { return replaced.expired(); }));
+  const auto stats = client.request("GET", "/v1/stats");
+  ASSERT_TRUE(stats.has_value());
+  ASSERT_EQ(stats->status, 200) << stats->body;
+  const Json stats_body = Json::parse(stats->body);
+  const Json* reload = stats_body.find("reload");
+  ASSERT_NE(reload, nullptr);
+  for (const char* field : {"last_swap_us", "last_release_us"}) {
+    const Json* value = reload->find(field);
+    ASSERT_NE(value, nullptr) << field;
+    EXPECT_TRUE(value->is_number()) << field;
+  }
 
   const auto after = client.request("POST", "/v1/rank", body);
   ASSERT_TRUE(after.has_value());
