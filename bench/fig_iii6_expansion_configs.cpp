@@ -44,8 +44,8 @@ int main() {
   req.fixed_ld = 2500;
   req.sampler.reps = sc.reps;
 
-  Modeler modeler(backend_instance(system_a()));
-  const MeasureFn measure = memoize(modeler.make_measure_fn(req));
+  const MeasureFn measure =
+      memoize(make_measure_fn(backend_instance(system_a()), req));
 
   struct Config {
     const char* label;

@@ -1,12 +1,12 @@
-// micro_generate -- cold vs. warm model generation through the batched
-// measurement scheduler.
+// micro_generate -- cold vs. warm model generation through batched
+// measurement.
 //
 // Generation wall clock is dominated by *measurement latency*: the
 // sampler waits on repeated timed kernel executions for every sampled
 // point. The step machines emit a region's whole sample grid as one
-// batch, and the MeasurementScheduler fans each batch out across the
-// ThreadPool (deterministic sources only -- real timing stays serialized
-// per backend instance), so generation overlaps measurement latency both
+// batch, and fulfill_batch spreads each batch over the ThreadPool
+// (deterministic sources only -- real timing stays serialized per
+// backend instance), so generation overlaps measurement latency both
 // *within* one key's batches and *across* concurrently generated keys.
 // The measurement source is a deterministic cost surface with a fixed
 // per-point latency (ServiceConfig::measure_factory), so the speedup

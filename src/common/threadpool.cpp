@@ -138,9 +138,9 @@ void ThreadPool::parallel_for_each(index_t count,
   // safe -- a worker that fans out again can always complete the inner
   // batch on its own stack while its siblings are parked in their own
   // waits -- where waiting on the helper jobs themselves would deadlock
-  // a pool whose workers all fan out. The batched measurement scheduler
-  // relies on exactly that (generation tasks fanning sample batches out
-  // over the same pool).
+  // a pool whose workers all fan out. Generation relies on exactly that
+  // (generation tasks fanning sample batches out over the same pool,
+  // while sibling tasks wait on the claim of a key being generated).
   struct State {
     std::atomic<index_t> next{0};
     index_t count = 0;

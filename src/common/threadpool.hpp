@@ -55,8 +55,8 @@ class ThreadPool {
   /// exceptions propagate to the caller (first one wins). Safe to call
   /// from a pool worker (nested fan-out): completion is tracked per item,
   /// so the nested caller can finish its batch alone even when every
-  /// other worker is parked in a wait of its own -- the measurement
-  /// scheduler fans generation batches out this way.
+  /// other worker is parked in a wait of its own -- generation tasks fan
+  /// their sample batches out this way (fulfill_batch).
   void parallel_for_each(index_t count,
                          const std::function<void(index_t)>& fn);
 

@@ -54,64 +54,14 @@ KernelCall make_call(const ModelingRequest& request,
   return call;
 }
 
-MeasureFn Modeler::make_measure_fn(const ModelingRequest& request) {
+MeasureFn make_measure_fn(Level3Backend& backend,
+                          const ModelingRequest& request) {
   // The sampler is shared across all measurements of one generation run.
-  auto sampler = std::make_shared<Sampler>(*backend_, request.sampler);
+  auto sampler = std::make_shared<Sampler>(backend, request.sampler);
   const ModelingRequest req = request;
   return [sampler, req](const std::vector<index_t>& point) {
     return sampler->measure(make_call(req, point));
   };
-}
-
-ModelKey Modeler::key_for(const ModelingRequest& request) const {
-  return model_key_for(request, backend_->name());
-}
-
-GenerationResult Modeler::run_expansion(const ModelingRequest& request,
-                                        const ExpansionConfig& config) {
-  return generate_model_expansion(request.domain, make_measure_fn(request),
-                                  config);
-}
-
-GenerationResult Modeler::run_refinement(const ModelingRequest& request,
-                                         const RefinementConfig& config) {
-  return generate_adaptive_refinement(request.domain,
-                                      make_measure_fn(request), config);
-}
-
-RoutineModel Modeler::build_expansion(const ModelingRequest& request,
-                                      const ExpansionConfig& config) {
-  GenerationResult gen = run_expansion(request, config);
-  RoutineModel out;
-  out.key = key_for(request);
-  out.model = std::move(gen.model);
-  out.unique_samples = gen.unique_samples;
-  out.average_error = gen.average_error;
-  out.strategy = "expansion";
-  return out;
-}
-
-RoutineModel Modeler::build_refinement(const ModelingRequest& request,
-                                       const RefinementConfig& config) {
-  GenerationResult gen = run_refinement(request, config);
-  RoutineModel out;
-  out.key = key_for(request);
-  out.model = std::move(gen.model);
-  out.unique_samples = gen.unique_samples;
-  out.average_error = gen.average_error;
-  out.strategy = "refinement";
-  return out;
-}
-
-std::vector<RoutineModel> Modeler::build_batch(
-    const std::vector<ModelingRequest>& requests,
-    const RefinementConfig& config) {
-  std::vector<RoutineModel> out;
-  out.reserve(requests.size());
-  for (const ModelingRequest& request : requests) {
-    out.push_back(build_refinement(request, config));
-  }
-  return out;
 }
 
 }  // namespace dlap

@@ -1,10 +1,13 @@
 #pragma once
-// The Modeler (paper Section III): generates piecewise-polynomial
-// performance models for routines automatically, by driving the Sampler
-// through one of the two generation strategies. Each model is specific to
-// a (routine, flag combination, implementation/backend, memory locality)
-// tuple -- the "fixed implementation, system, and memory locality
-// situation" of Section III-B.
+// What the Modeler (paper Section III) builds, and from what: a model's
+// repository identity (ModelKey), a generated model with its provenance
+// (RoutineModel), and a modeling request -- the call family plus the
+// parameter domain to sample. Each model is specific to a (routine, flag
+// combination, implementation/backend, memory locality) tuple -- the
+// "fixed implementation, system, and memory locality situation" of
+// Section III-B. make_measure_fn turns a request into the Sampler-backed
+// measurement source that the generation strategies (strategies.hpp)
+// consume.
 
 #include <string>
 #include <string_view>
@@ -83,7 +86,7 @@ struct ModelKeyLess {
 /// Where a RoutineModel came from (provenance surfaced through the
 /// service's GenerationStats and the engine's PrepareReport).
 enum class ModelSource {
-  Generated,  ///< built by the Modeler in this process
+  Generated,  ///< generated in this process
   TextFile,   ///< deserialized from a per-model text file
   Container,  ///< loaded from a .dlapc binary container
 };
@@ -131,44 +134,11 @@ struct ModelingRequest {
 [[nodiscard]] KernelCall make_call(const ModelingRequest& request,
                                    const std::vector<index_t>& point);
 
-/// A Modeler instance drives one backend. It holds no mutable state of its
-/// own, so distinct instances (each with its own backend) are safe to run
-/// concurrently from different threads -- the model service does exactly
-/// that; one instance is also safe to drive from multiple threads when its
-/// backend's kernels are reentrant. Engine-wide measurement reuse (the
-/// sample store and its on-disk journals) is NOT the Modeler's concern:
-/// the service's MeasurementScheduler layers it over the per-point
-/// measure function this class produces.
-class Modeler {
- public:
-  explicit Modeler(Level3Backend& backend) : backend_(&backend) {}
-
-  /// Measurement source for the request (caching is applied inside the
-  /// strategies, not here).
-  [[nodiscard]] MeasureFn make_measure_fn(const ModelingRequest& request);
-
-  [[nodiscard]] RoutineModel build_expansion(const ModelingRequest& request,
-                                             const ExpansionConfig& config);
-  [[nodiscard]] RoutineModel build_refinement(const ModelingRequest& request,
-                                              const RefinementConfig& config);
-
-  /// Batch generation: one model per request, in request order, all
-  /// sequential on this Modeler's backend. This is the reference path the
-  /// concurrent ModelService::generate_all is checked against.
-  [[nodiscard]] std::vector<RoutineModel> build_batch(
-      const std::vector<ModelingRequest>& requests,
-      const RefinementConfig& config);
-
-  /// Full generation result (with events) for strategy-analysis benches.
-  [[nodiscard]] GenerationResult run_expansion(const ModelingRequest& request,
-                                               const ExpansionConfig& config);
-  [[nodiscard]] GenerationResult run_refinement(
-      const ModelingRequest& request, const RefinementConfig& config);
-
- private:
-  [[nodiscard]] ModelKey key_for(const ModelingRequest& request) const;
-
-  Level3Backend* backend_;
-};
+/// Measurement source for the request on `backend`: each call times the
+/// kernel call of one parameter point through a Sampler shared by every
+/// call of the source. Engine-wide measurement reuse (the sample store
+/// and its on-disk journals) is layered over it by the model service.
+[[nodiscard]] MeasureFn make_measure_fn(Level3Backend& backend,
+                                        const ModelingRequest& request);
 
 }  // namespace dlap

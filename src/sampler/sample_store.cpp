@@ -241,29 +241,15 @@ void SampleStore::append(std::string_view engine_key, KeyCache& cache,
   cache.journal.flush();
 }
 
-void SampleStore::insert_locked(std::string_view engine_key, KeyCache& cache,
-                                std::span<const Measured> batch) {
-  std::string lines;
-  for (const Measured& m : batch) {
-    const bool inserted =
-        cache.points.try_emplace(*m.point, Entry{m.stats, /*from_disk=*/false})
-            .second;
-    if (inserted && persistent() && journalable(m.stats)) {
-      append_line(*m.point, m.stats, &lines);
-    }
-  }
-  if (!lines.empty()) append(engine_key, cache, lines);
-}
-
 SampleStore::Origin SampleStore::probe(std::string_view engine_key,
                                        const std::vector<index_t>& point,
-                                       SampleStats* stats, bool count_miss) {
+                                       SampleStats* stats) {
   KeyCache& cache = key_cache(engine_key);
   std::lock_guard<std::mutex> lock(cache.m);
   ensure_replayed(engine_key, cache);
   const auto it = cache.points.find(point);
   if (it == cache.points.end()) {
-    if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
+    misses_.fetch_add(1, std::memory_order_relaxed);
     return Origin::Miss;
   }
   if (stats != nullptr) *stats = it->second.stats;
@@ -276,18 +262,28 @@ SampleStore::Origin SampleStore::probe(std::string_view engine_key,
 }
 
 void SampleStore::insert(std::string_view engine_key,
-                         std::span<const Measured> batch) {
+                         std::span<Measured> batch) {
   KeyCache& cache = key_cache(engine_key);
   std::lock_guard<std::mutex> lock(cache.m);
   ensure_replayed(engine_key, cache);
-  insert_locked(engine_key, cache, batch);
+  std::string lines;
+  for (Measured& m : batch) {
+    const auto [it, inserted] = cache.points.try_emplace(
+        *m.point, Entry{m.stats, /*from_disk=*/false});
+    if (!inserted) {
+      m.stats = it->second.stats;
+    } else if (persistent() && journalable(m.stats)) {
+      append_line(*m.point, m.stats, &lines);
+    }
+  }
+  if (!lines.empty()) append(engine_key, cache, lines);
 }
 
 void SampleStore::insert(std::string_view engine_key,
                          const std::vector<index_t>& point,
                          const SampleStats& stats) {
-  const Measured one{&point, stats};
-  insert(engine_key, std::span<const Measured>(&one, 1));
+  Measured one{&point, stats};
+  insert(engine_key, std::span<Measured>(&one, 1));
 }
 
 SampleStats SampleStore::get_or_measure(std::string_view engine_key,
@@ -298,13 +294,10 @@ SampleStats SampleStore::get_or_measure(std::string_view engine_key,
   // Measure outside the lock: sampling is the expensive part, and holding
   // the lock here would serialize all concurrent measurements of the key.
   // Duplicated measurements of one (key, point) pair can race here; the
-  // first insert wins and both callers return coherent statistics.
-  const Measured one{&point, measure(point)};
-  KeyCache& cache = key_cache(engine_key);
-  std::lock_guard<std::mutex> lock(cache.m);
-  ensure_replayed(engine_key, cache);
-  insert_locked(engine_key, cache, std::span<const Measured>(&one, 1));
-  return cache.points.find(point)->second.stats;
+  // first insert wins and both callers return its statistics.
+  Measured one{&point, measure(point)};
+  insert(engine_key, std::span<Measured>(&one, 1));
+  return one.stats;
 }
 
 std::size_t SampleStore::size() const {

@@ -20,8 +20,8 @@
 // order, formatted into one buffer, written and flushed once -- so a
 // journal's content does not depend on measurement completion order, and
 // durability is per batch: a crash loses at most the batch being written.
-// Nothing has consumed that batch yet (the scheduler stores a batch
-// before it releases any of its points), so a restart re-measures it. A
+// Nothing has consumed that batch yet (fulfill_batch stores a batch
+// before it returns any of its points), so a restart re-measures it. A
 // torn write leaves complete lines plus at most one partial final line;
 // replay keeps the complete lines and discards the tail.
 //
@@ -88,13 +88,11 @@ class SampleStore {
                                            const std::vector<index_t>& point,
                                            const Measure& measure);
 
-  /// Cache probe without measuring; fills *stats when found. Hits always
-  /// bump the hit counters; a miss bumps misses_ only when `count_miss`
-  /// is set (re-checks of a point already counted pass false, keeping
-  /// the "points nobody had" diagnostic exact).
+  /// Cache probe without measuring; fills *stats when found, and bumps
+  /// the counter of whichever origin answered.
   [[nodiscard]] Origin probe(std::string_view engine_key,
                              const std::vector<index_t>& point,
-                             SampleStats* stats, bool count_miss = true);
+                             SampleStats* stats);
 
   /// One measured point of a batch insert. The point is borrowed for
   /// the duration of the call.
@@ -104,11 +102,13 @@ class SampleStore {
   };
 
   /// Inserts a batch of measured points under one lock of the key (the
-  /// first insert of a point wins). When the store is persistent, the
-  /// newly inserted points with finite statistics are appended to the
-  /// key's journal in batch order, with one write and one flush.
-  /// Non-finite statistics stay memory-only: the journal must replay.
-  void insert(std::string_view engine_key, std::span<const Measured> batch);
+  /// first insert of a point wins) and writes the statistics the store
+  /// kept back into each element, so every caller reads one value per
+  /// point. When the store is persistent, the newly inserted points with
+  /// finite statistics are appended to the key's journal in batch order,
+  /// with one write and one flush. Non-finite statistics stay
+  /// memory-only: the journal must replay.
+  void insert(std::string_view engine_key, std::span<Measured> batch);
 
   /// Inserts one measured point: a batch of one.
   void insert(std::string_view engine_key, const std::vector<index_t>& point,
@@ -185,11 +185,6 @@ class SampleStore {
   /// Replays the key's journal into the cache once. Caller holds
   /// cache.m.
   void ensure_replayed(std::string_view engine_key, KeyCache& cache);
-
-  /// Inserts the batch (first wins) and journals the newly inserted
-  /// points. Caller holds cache.m (with the journal replayed).
-  void insert_locked(std::string_view engine_key, KeyCache& cache,
-                     std::span<const Measured> batch);
 
   /// Appends formatted journal lines to the key's journal with one write
   /// and one flush (opens it, writing the magic header, on first use).

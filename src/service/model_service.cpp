@@ -2,9 +2,11 @@
 
 #include <chrono>
 #include <cstdio>
+#include <exception>
 #include <utility>
 
 #include "blas/registry.hpp"
+#include "service/measurement_scheduler.hpp"
 #include "storage/container.hpp"
 
 namespace dlap {
@@ -20,11 +22,6 @@ ModelService::ModelService(ServiceConfig config)
     : config_(std::move(config)),
       repo_(config_.repository_dir),
       samples_(sample_dir_for(config_)),
-      // pool_ is declared last (destroyed first, draining tasks that
-      // touch the members above), so it is NOT yet constructed here:
-      // the scheduler's constructor only stores the address and must
-      // never be changed to dereference it.
-      scheduler_(pool_, samples_),
       pool_(config_.workers) {
   // Attach the binary container (explicit path, or the repository's
   // auto-detected repository.dlapc) to BOTH stores: one mmap serves
@@ -132,30 +129,28 @@ std::shared_ptr<const RoutineModel> ModelService::generate_one(
   }
   const std::string engine_key = key.to_string();
 
-  // Choose the measurement source and how its batches may be scheduled.
-  // Factory sources are deterministic test/bench hooks and fan out over
+  // Choose the measurement source and where its batches are measured.
+  // Factory sources are deterministic test/bench hooks and spread over
   // the pool; real sampling instantiates its own backend so concurrent
   // workers never share kernel-internal state (thread pools, packing
-  // buffers), and its batches stay serialized on this thread -- the
+  // buffers), and its batches stay on this thread -- the
   // per-backend-instance exclusivity real timing requires.
   MeasureFn measure;
   std::unique_ptr<Level3Backend> backend;
-  std::optional<Modeler> modeler;
-  MeasurementScheduler::Mode mode = MeasurementScheduler::Mode::Exclusive;
+  ThreadPool* spread = nullptr;
   if (config_.measure_factory) {
     measure = config_.measure_factory(job);
     DLAP_REQUIRE(measure != nullptr,
                  "ServiceConfig::measure_factory returned an empty function");
-    if (!sequential) mode = MeasurementScheduler::Mode::Parallel;
+    if (!sequential) spread = &pool_;
   } else {
     backend = make_backend(job.backend);
-    modeler.emplace(*backend);
-    measure = modeler->make_measure_fn(job.request);
+    measure = make_measure_fn(*backend, job.request);
   }
 
-  // The strategy declares what it needs, batch by batch; the scheduler
-  // fulfills each batch from the sample store (memory, then the on-disk
-  // journals), joining concurrent measurements, measuring the rest.
+  // The strategy declares what it needs, batch by batch; fulfill_batch
+  // serves each batch from the sample store (memory, then the on-disk
+  // journals) and measures the rest.
   auto stepper =
       make_refinement_stepper(job.request.domain, config_.refinement);
   GenerationStats stats;
@@ -163,12 +158,11 @@ std::shared_ptr<const RoutineModel> ModelService::generate_one(
   const auto t0 = std::chrono::steady_clock::now();
   while (!stepper->done()) {
     FulfillStats batch;
-    const std::vector<SampleStats> fulfilled = scheduler_.fulfill(
-        engine_key, stepper->required(), measure, mode, &batch);
+    const std::vector<SampleStats> fulfilled = fulfill_batch(
+        samples_, engine_key, stepper->required(), measure, spread, &batch);
     stats.points_measured += batch.measured;
     stats.points_from_memory += batch.from_memory;
     stats.points_from_disk += batch.from_disk;
-    stats.points_joined += batch.joined;
     ++stats.batches;
     stepper->supply(fulfilled);
     if (config_.on_progress) config_.on_progress(key, stats);
@@ -200,65 +194,22 @@ std::shared_ptr<const RoutineModel> ModelService::generate_one(
 
 std::vector<std::shared_ptr<const RoutineModel>> ModelService::generate_all(
     const std::vector<ModelJob>& jobs) {
-  struct Pending {
-    ModelJob job;
-    ModelKey key;
-    std::shared_ptr<ModelPromise> promise;
-  };
-  std::vector<ModelFuture> futures(jobs.size());
-  std::vector<Pending> to_run;
-
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const ModelKey key = key_for(jobs[i]);
-    if (std::shared_ptr<const RoutineModel> have = reusable(jobs[i], key)) {
-      record_reuse(key, have->source);
-      ModelPromise ready;
-      ready.set_value(std::move(have));
-      futures[i] = ready.get_future().share();
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(inflight_mutex_);
-    const auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      // Duplicate key (within this batch or from a concurrent caller):
-      // join the generation already under way.
-      futures[i] = it->second;
-      continue;
-    }
-    auto promise = std::make_shared<ModelPromise>();
-    futures[i] = promise->get_future().share();
-    inflight_.emplace(key, futures[i]);
-    to_run.push_back({jobs[i], key, std::move(promise)});
-  }
-
-  // One dynamically scheduled task per distinct key; generation cost
-  // varies wildly between keys (domain size, routine dimensionality), so
-  // self-scheduling beats static chunking here.
-  pool_.parallel_for_each(
-      static_cast<index_t>(to_run.size()), [&](index_t t) {
-        Pending& p = to_run[static_cast<std::size_t>(t)];
-        try {
-          p.promise->set_value(generate_one(p.job, p.key,
-                                            /*sequential=*/false));
-        } catch (...) {
-          p.promise->set_exception(std::current_exception());
-        }
-        std::lock_guard<std::mutex> lock(inflight_mutex_);
-        inflight_.erase(p.key);
-      });
-
-  std::vector<std::shared_ptr<const RoutineModel>> out;
-  out.reserve(jobs.size());
-  for (ModelFuture& f : futures) out.push_back(f.get());
-
-  // A job that joined another generation of its key (duplicate within the
-  // batch, or a concurrent caller) may have received a model over a
-  // narrower domain than it asked for; regenerate those with the full
-  // requested domain rather than handing back an extrapolating model.
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!out[i]->model.domain().covers(jobs[i].request.domain)) {
+  // One dynamically scheduled task per job; generation cost varies wildly
+  // between keys (domain size, routine dimensionality), so
+  // self-scheduling beats static chunking here. A duplicate key's task
+  // waits on the claim of the task generating it, which runs already.
+  std::vector<std::shared_ptr<const RoutineModel>> out(jobs.size());
+  std::vector<std::exception_ptr> errors(jobs.size());
+  pool_.parallel_for_each(static_cast<index_t>(jobs.size()), [&](index_t t) {
+    const auto i = static_cast<std::size_t>(t);
+    try {
       out[i] = get_or_generate(jobs[i]);
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
+  });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
   return out;
 }
@@ -282,11 +233,6 @@ std::shared_ptr<const RoutineModel> ModelService::get_or_generate_impl(
     const ModelJob& job, bool sequential) {
   const ModelKey key = key_for(job);
   for (;;) {
-    if (std::shared_ptr<const RoutineModel> have = reusable(job, key)) {
-      record_reuse(key, have->source);
-      return have;
-    }
-
     ModelFuture waitee;
     std::shared_ptr<ModelPromise> claim;
     {
@@ -300,27 +246,37 @@ std::shared_ptr<const RoutineModel> ModelService::get_or_generate_impl(
       }
     }
 
-    if (claim != nullptr) {
-      std::shared_ptr<const RoutineModel> model;
-      try {
-        model = generate_one(job, key, sequential);
-        claim->set_value(model);
-      } catch (...) {
-        claim->set_exception(std::current_exception());
-        std::lock_guard<std::mutex> lock(inflight_mutex_);
-        inflight_.erase(key);
-        throw;
-      }
-      std::lock_guard<std::mutex> lock(inflight_mutex_);
-      inflight_.erase(key);
-      return model;
+    if (claim == nullptr) {
+      std::shared_ptr<const RoutineModel> joined = waitee.get();
+      // The joined call may have served a smaller domain than this job
+      // asks for; accept it only when it covers ours, else go around and
+      // claim the key with the full requested domain.
+      if (joined->model.domain().covers(job.request.domain)) return joined;
+      continue;
     }
 
-    std::shared_ptr<const RoutineModel> joined = waitee.get();
-    // The joined generation may have modeled a smaller domain than this
-    // job asks for; accept it only when it covers ours, else go around
-    // and generate with the full requested domain.
-    if (joined->model.domain().covers(job.request.domain)) return joined;
+    // The claim is held from the repository check through the store, so
+    // no other call stores the key meanwhile: it is generated once.
+    const auto release = [&] {
+      std::lock_guard<std::mutex> lock(inflight_mutex_);
+      inflight_.erase(key);
+    };
+    std::shared_ptr<const RoutineModel> model;
+    try {
+      model = reusable(job, key);
+      if (model != nullptr) {
+        record_reuse(key, model->source);
+      } else {
+        model = generate_one(job, key, sequential);
+      }
+      claim->set_value(model);
+    } catch (...) {
+      claim->set_exception(std::current_exception());
+      release();
+      throw;
+    }
+    release();
+    return model;
   }
 }
 

@@ -9,15 +9,16 @@
 //     sample repository beside the model repository (append-only journal
 //     per engine key), so a second run, a widened-domain regeneration, or
 //     a crash-resume warm-starts from every measurement already paid for,
-//   - a MeasurementScheduler that fulfills the batches the generation
-//     step machines emit: store first, then joining in-flight points of
-//     concurrently generated keys, then measuring -- fanned out over the
-//     ThreadPool for deterministic sources, serialized per backend
-//     instance for real timing,
-//   - the ThreadPool itself, which also fans a batch of modeling jobs out
-//     concurrently, one worker per (routine, flags, backend, locality)
-//     key, each worker sampling on its OWN backend instance so
-//     measurements never interfere.
+//   - the ThreadPool, which fans a batch of modeling jobs out
+//     concurrently, one task per job, each generation sampling on its OWN
+//     backend instance so measurements never interfere; deterministic
+//     measure_factory sources also spread each sample batch over it.
+//
+// Each key generates under a per-key claim (get_or_generate), the one
+// dedupe on the generation path: a concurrent request for the key waits
+// for the generation under way instead of starting its own, and each
+// batch the key's step machine emits is fulfilled by fulfill_batch
+// (service/measurement_scheduler.hpp) -- store first, then measuring.
 //
 // Callers hand it ModelJobs and get repository-cached models back; the
 // Engine (api/engine.hpp) closes the loop by resolving the models a query
@@ -38,7 +39,6 @@
 #include "modeler/modeler.hpp"
 #include "modeler/repository.hpp"
 #include "sampler/sample_store.hpp"
-#include "service/measurement_scheduler.hpp"
 
 namespace dlap {
 
@@ -65,7 +65,10 @@ struct GenerationStats {
   index_t points_measured = 0;     ///< newly measured for this generation
   index_t points_from_memory = 0;  ///< reused from the in-memory store
   index_t points_from_disk = 0;    ///< reused from the on-disk journals
-  index_t points_joined = 0;       ///< shared with a concurrent generation
+  /// Always 0: each key generates under its claim, so no generation
+  /// shares a point with another one in flight. Kept for readers that
+  /// still report it.
+  index_t points_joined = 0;
   index_t batches = 0;             ///< step-machine batches fulfilled
   double wall_ms = 0.0;
   /// Monotonic stamp: higher = recorded later (lets callers tell what a
@@ -121,9 +124,6 @@ class ModelService {
     return repo_;
   }
   [[nodiscard]] SampleStore& samples() noexcept { return samples_; }
-  [[nodiscard]] MeasurementScheduler& scheduler() noexcept {
-    return scheduler_;
-  }
   [[nodiscard]] ThreadPool& pool() noexcept { return pool_; }
 
   /// The repository key a job resolves to.
@@ -139,13 +139,10 @@ class ModelService {
   /// stays in place, so a failed reload never degrades serving.
   bool reload_container();
 
-  /// Generates models for all jobs, fanned out across the pool with one
-  /// task per distinct key (duplicate keys are generated once); results
-  /// come back in job order and are stored in the repository. Jobs whose
-  /// key is already stored with a covering domain are served from the
-  /// repository; otherwise a stored domain grows to the bounding box of
-  /// itself and the job's, never shrinks. The first generation error (in
-  /// job order) is rethrown after all tasks settle.
+  /// get_or_generate for every job, fanned out across the pool with one
+  /// task per job; results come back in job order. Duplicate keys share
+  /// one generation through the key's claim. The first error in job
+  /// order is rethrown after every task has settled.
   [[nodiscard]] std::vector<std::shared_ptr<const RoutineModel>> generate_all(
       const std::vector<ModelJob>& jobs);
 
@@ -157,8 +154,11 @@ class ModelService {
   generate_all_sequential(const std::vector<ModelJob>& jobs);
 
   /// Returns the stored model for the job's key when it covers the
-  /// requested domain; generates (and stores) it otherwise. Concurrent
-  /// calls for one key share a single generation.
+  /// requested domain; generates (and stores) it otherwise, growing a
+  /// stored domain to the bounding box of itself and the job's. The call
+  /// holds the key's claim while it checks and generates, so concurrent
+  /// calls for one key share a single generation; a caller whose domain
+  /// the shared model does not cover claims the key next.
   [[nodiscard]] std::shared_ptr<const RoutineModel> get_or_generate(
       const ModelJob& job);
 
@@ -189,9 +189,8 @@ class ModelService {
 
   /// Runs the full generation pipeline for one job, over its domain grown
   /// by the stored model's, and stores the result. The caller holds the
-  /// key's in-flight claim. `sequential` forces Exclusive measurement
-  /// scheduling even for factory sources (the bit-identity reference
-  /// path).
+  /// key's in-flight claim. `sequential` measures on the calling thread
+  /// even for factory sources (the bit-identity reference path).
   [[nodiscard]] std::shared_ptr<const RoutineModel> generate_one(
       const ModelJob& job, const ModelKey& key, bool sequential);
 
@@ -212,7 +211,6 @@ class ModelService {
   ServiceConfig config_;
   ModelRepository repo_;
   SampleStore samples_;
-  MeasurementScheduler scheduler_;
 
   // Keys currently being generated; late arrivals wait on the future
   // instead of duplicating the work.

@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <iterator>
 #include <limits>
 #include <map>
+#include <stdexcept>
 
 #include "algorithms/chol.hpp"
 #include "algorithms/sylv.hpp"
@@ -695,6 +697,34 @@ TEST(Engine, MissingModelWhenGenerationDisabled) {
                                      missing.to_string()) != std::string::npos;
   }
   EXPECT_TRUE(names_a_key) << result.status().message;
+}
+
+TEST(Engine, FailedGenerationAnswersGenerationFailedUntilSourceWorks) {
+  std::atomic<bool> broken{true};
+  EngineConfig cfg = test_config("dlap_test_api_generation_failed");
+  cfg.service.measure_factory = [&broken,
+                                 working = cfg.service.measure_factory](
+                                    const ModelJob& job) {
+    return MeasureFn([&broken, measure = working(job)](
+                         const std::vector<index_t>& point) {
+      if (broken.load()) throw std::runtime_error("sensor offline");
+      return measure(point);
+    });
+  };
+  TempEngine t("dlap_test_api_generation_failed", std::move(cfg));
+  const RankQuery query = RankQuery::trinv_variants(160, 32);
+
+  const auto failed = t.engine.rank(query);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code, StatusCode::GenerationFailed);
+  EXPECT_NE(failed.status().message.find("sensor offline"),
+            std::string::npos)
+      << failed.status().message;
+
+  broken.store(false);
+  const auto ranked = t.engine.rank(query);
+  ASSERT_TRUE(ranked.ok()) << ranked.status().to_string();
+  EXPECT_EQ(ranked->predictions.size(), query.candidates.size());
 }
 
 TEST(Engine, OverBoundSpecsAreRejectedBeforeTracing) {

@@ -2,13 +2,14 @@
 //
 // 1. A deterministic "virtual machine": per-routine analytic cost
 //    functions play the role of the hardware. Models are generated from
-//    them through the real Modeler strategies, predictions run through the
-//    real CompiledTrace path, and the resulting variant ranking must equal
-//    the ranking computed by summing the same cost function over the traces
-//    (ground truth). This exercises the entire pipeline end to end with
-//    zero measurement noise.
+//    them through the real generation strategies, predictions run through
+//    the real CompiledTrace path, and the resulting variant ranking must
+//    equal the ranking computed by summing the same cost function over the
+//    traces (ground truth). This exercises the entire pipeline end to end
+//    with zero measurement noise.
 // 2. A real-measurement smoke test: tiny models are generated from actual
-//    timings on the naive backend; predictions must be positive, increase
+//    timings on the naive backend, directly through the strategies and
+//    through the ModelService; predictions must be positive, increase
 //    with problem size, and round-trip through the on-disk repository.
 
 #include <gtest/gtest.h>
@@ -34,6 +35,7 @@
 #include "predict/ranking.hpp"
 #include "predict/trace.hpp"
 #include "reference_predict.hpp"
+#include "service/model_service.hpp"
 
 namespace dlap {
 namespace {
@@ -252,8 +254,6 @@ TEST(IntegrationVM, CholRankingRecoveredExactly) {
 // --------------------------------------------------- real-sampler smoke
 
 TEST(IntegrationReal, ModelPredictStoreReloadRoundTrip) {
-  Modeler modeler(backend_instance("naive"));
-
   ModelingRequest req;
   req.routine = RoutineId::Trsm;
   req.flags = {'L', 'L', 'N', 'N'};
@@ -268,7 +268,14 @@ TEST(IntegrationReal, ModelPredictStoreReloadRoundTrip) {
   cfg.base.error_bound = 0.50;  // loose: this is a smoke test
   cfg.base.degree = 3;
   cfg.min_region_size = 32;
-  const RoutineModel model = modeler.build_refinement(req, cfg);
+  GenerationResult gen = generate_adaptive_refinement(
+      req.domain, make_measure_fn(backend_instance("naive"), req), cfg);
+  RoutineModel model;
+  model.key = model_key_for(req, "naive");
+  model.model = std::move(gen.model);
+  model.unique_samples = gen.unique_samples;
+  model.average_error = gen.average_error;
+  model.strategy = "refinement";
   EXPECT_GT(model.unique_samples, 0);
   EXPECT_EQ(model.key.routine, "dtrsm");
   EXPECT_EQ(model.key.backend, "naive");
@@ -294,33 +301,43 @@ TEST(IntegrationReal, ModelPredictStoreReloadRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(IntegrationReal, ModelerBatchGeneratesInRequestOrder) {
-  Modeler modeler(backend_instance("naive"));
+TEST(IntegrationReal, ServiceGenerateAllReturnsModelsInJobOrder) {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "dlaperf_integration_batch";
+  std::filesystem::remove_all(dir);
+  ServiceConfig cfg;
+  cfg.repository_dir = dir;
+  cfg.workers = 2;
+  cfg.persist_samples = false;
+  cfg.refinement.base.error_bound = 0.50;  // loose: this is a smoke test
+  cfg.refinement.min_region_size = 32;
 
-  ModelingRequest trsm;
-  trsm.routine = RoutineId::Trsm;
-  trsm.flags = {'L', 'L', 'N', 'N'};
-  trsm.domain = Region({8, 8}, {48, 48});
-  trsm.fixed_ld = 64;
-  trsm.sampler.reps = 2;
-  ModelingRequest trmm = trsm;
-  trmm.routine = RoutineId::Trmm;
-  trmm.flags = {'R', 'L', 'N', 'N'};
+  ModelJob trsm;
+  trsm.backend = "naive";
+  trsm.request.routine = RoutineId::Trsm;
+  trsm.request.flags = {'L', 'L', 'N', 'N'};
+  trsm.request.domain = Region({8, 8}, {48, 48});
+  trsm.request.fixed_ld = 64;
+  trsm.request.sampler.reps = 2;
+  ModelJob trmm = trsm;
+  trmm.request.routine = RoutineId::Trmm;
+  trmm.request.flags = {'R', 'L', 'N', 'N'};
 
-  RefinementConfig cfg;
-  cfg.base.error_bound = 0.50;  // loose: this is a smoke test
-  cfg.min_region_size = 32;
-  const std::vector<RoutineModel> models =
-      modeler.build_batch({trsm, trmm}, cfg);
-  ASSERT_EQ(models.size(), 2u);
-  EXPECT_EQ(models[0].key.routine, "dtrsm");
-  EXPECT_EQ(models[1].key.routine, "dtrmm");
-  for (const RoutineModel& m : models) {
-    EXPECT_EQ(m.key.backend, "naive");
-    EXPECT_EQ(m.strategy, "refinement");
-    EXPECT_GT(m.unique_samples, 0);
-    EXPECT_GT(m.model.evaluate(std::vector<index_t>{32, 32}).median, 0.0);
+  std::vector<std::shared_ptr<const RoutineModel>> models;
+  {
+    ModelService service(cfg);
+    models = service.generate_all({trsm, trmm});
   }
+  ASSERT_EQ(models.size(), 2u);
+  EXPECT_EQ(models[0]->key.routine, "dtrsm");
+  EXPECT_EQ(models[1]->key.routine, "dtrmm");
+  for (const auto& m : models) {
+    EXPECT_EQ(m->key.backend, "naive");
+    EXPECT_EQ(m->strategy, "refinement");
+    EXPECT_GT(m->unique_samples, 0);
+    EXPECT_GT(m->model.evaluate(std::vector<index_t>{32, 32}).median, 0.0);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // Best-of-reps ticks of really executing chol variant `variant` on
@@ -407,7 +424,6 @@ TEST(IntegrationReal, CholPredictedBestMatchesMeasuredBestUsually) {
 }
 
 TEST(IntegrationReal, ExpansionStrategyOnRealMeasurements) {
-  Modeler modeler(backend_instance("naive"));
   ModelingRequest req;
   req.routine = RoutineId::Gemm;
   req.flags = {'N', 'N'};
@@ -420,7 +436,8 @@ TEST(IntegrationReal, ExpansionStrategyOnRealMeasurements) {
   cfg.base.degree = 3;
   cfg.initial_size = 32;
   cfg.direction = ExpansionConfig::Direction::TowardOrigin;
-  const RoutineModel model = modeler.build_expansion(req, cfg);
+  const GenerationResult model = generate_model_expansion(
+      req.domain, make_measure_fn(backend_instance("naive"), req), cfg);
   EXPECT_GT(model.unique_samples, 0);
   EXPECT_GT(model.model.evaluate(std::vector<index_t>{64, 64, 64}).median,
             0.0);

@@ -1,8 +1,8 @@
 // Tests for the measurement persistence layer: the SampleStore's on-disk
 // sample journals (round-trip, truncated-tail and torn-batch recovery,
 // heterogeneous key lookup, the line codec against its iostream oracle)
-// and the MeasurementScheduler that fulfills step-machine batches from
-// store / in-flight joins / measurement.
+// and fulfill_batch, which fulfills step-machine batches from the store,
+// then by measuring.
 
 #include <gtest/gtest.h>
 
@@ -295,11 +295,19 @@ TEST(SampleStore, BatchInsertJournalsNewFinitePointsInBatchOrder) {
     SampleStore store(dir);
     store.insert(key, points[1], stats_for(points[1]));
     // Batch order 4, 0, 1 (already known), 3 (non-finite), 2, 0 again.
-    const std::vector<SampleStore::Measured> batch = {
+    std::vector<SampleStore::Measured> batch = {
         {&points[4], stats_for(points[4])}, {&points[0], stats_for(points[0])},
         {&points[1], stale},                 {&points[3], poison},
         {&points[2], stats_for(points[2])}, {&points[0], stale}};
     store.insert(key, batch);
+    // Every element now holds the statistics the store kept.
+    const std::vector<SampleStats> kept = {
+        stats_for(points[4]), stats_for(points[0]), stats_for(points[1]),
+        poison,               stats_for(points[2]), stats_for(points[0])};
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      SCOPED_TRACE("batch element " + std::to_string(i));
+      expect_same_bits(batch[i].stats, kept[i]);
+    }
     SampleStats got;
     EXPECT_EQ(store.probe(key, points[0], &got), SampleStore::Origin::Memory);
     expect_stats_eq(got, stats_for(points[0]));  // first insert wins
@@ -422,28 +430,25 @@ TEST(JournalCodec, KnownStricterInputs) {
 TEST(MeasurementScheduler, FulfillsFromStoreThenMeasuresTheRest) {
   SampleStore store;
   ThreadPool pool(2);
-  MeasurementScheduler scheduler(pool, store);
   std::atomic<int> calls{0};
   const auto points = grid_points(6);
 
   FulfillStats first;
-  const auto stats1 =
-      scheduler.fulfill("k", points, counting_measure(&calls),
-                        MeasurementScheduler::Mode::Exclusive, &first);
+  const auto stats1 = fulfill_batch(store, "k", points,
+                                    counting_measure(&calls), nullptr, &first);
   ASSERT_EQ(stats1.size(), points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     expect_stats_eq(stats1[i], stats_for(points[i]));
   }
   EXPECT_EQ(first.measured, static_cast<index_t>(points.size()));
   EXPECT_EQ(first.from_memory, 0);
-  // The race-closing re-probe must not double-count misses.
+  // Each point's miss is counted once.
   EXPECT_EQ(store.misses(), points.size());
 
   // Second fulfillment: everything from memory, nothing measured.
   FulfillStats second;
-  const auto stats2 =
-      scheduler.fulfill("k", points, counting_measure(&calls),
-                        MeasurementScheduler::Mode::Parallel, &second);
+  const auto stats2 = fulfill_batch(store, "k", points,
+                                    counting_measure(&calls), &pool, &second);
   EXPECT_EQ(calls.load(), static_cast<int>(points.size()));
   EXPECT_EQ(second.measured, 0);
   EXPECT_EQ(second.from_memory, static_cast<index_t>(points.size()));
@@ -456,69 +461,74 @@ TEST(MeasurementScheduler, ParallelModeMatchesExclusiveBitExactly) {
   SampleStore store_a;
   SampleStore store_b;
   ThreadPool pool(4);
-  MeasurementScheduler exclusive(pool, store_a);
-  MeasurementScheduler parallel(pool, store_b);
   std::atomic<int> calls{0};
   const auto points = grid_points(24);
   const auto sa =
-      exclusive.fulfill("k", points, counting_measure(&calls),
-                        MeasurementScheduler::Mode::Exclusive);
+      fulfill_batch(store_a, "k", points, counting_measure(&calls), nullptr);
   const auto sb =
-      parallel.fulfill("k", points, counting_measure(&calls),
-                       MeasurementScheduler::Mode::Parallel);
+      fulfill_batch(store_b, "k", points, counting_measure(&calls), &pool);
   ASSERT_EQ(sa.size(), sb.size());
   for (std::size_t i = 0; i < sa.size(); ++i) expect_stats_eq(sa[i], sb[i]);
 }
 
-TEST(MeasurementScheduler, InFlightPointsAreSharedAcrossConcurrentBatches) {
+// Concurrent batches of one key that all measure the same points, from a
+// source that never returns the same statistics twice: every caller gets
+// the statistics the store kept, not its own measurement.
+TEST(MeasurementScheduler, ConcurrentBatchesOfOneKeyReturnTheStoredStats) {
   SampleStore store;
-  ThreadPool pool(4);
-  MeasurementScheduler scheduler(pool, store);
-  std::atomic<int> calls{0};
-  const auto slow_measure = [&calls](const std::vector<index_t>& point) {
-    ++calls;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    return stats_for(point);
-  };
+  constexpr int kCallers = 6;
   const auto points = grid_points(8);
-
-  // Many concurrent fulfillments of overlapping batches for one key:
-  // every point is measured exactly once; latecomers join the in-flight
-  // measurement or hit the store.
-  ThreadPool callers(6);
-  std::atomic<int> joined_total{0};
-  callers.parallel_for_each(6, [&](index_t) {
-    FulfillStats fs_out;
-    const auto stats =
-        scheduler.fulfill("k", points, slow_measure,
-                          MeasurementScheduler::Mode::Parallel, &fs_out);
-    joined_total += static_cast<int>(fs_out.joined);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      expect_stats_eq(stats[i], stats_for(points[i]));
+  std::atomic<int> calls{0};
+  std::atomic<int> entered{0};
+  const auto drifting = [&](const std::vector<index_t>& point) {
+    const int call = ++calls;
+    if (point == points.front()) {
+      // Hold every caller at its first measurement until all of them
+      // have probed the store, so each one measures every point itself.
+      ++entered;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (entered.load() < kCallers &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
     }
+    SampleStats s = stats_for(point);
+    s.median += call;
+    return s;
+  };
+
+  std::vector<std::vector<SampleStats>> got(kCallers);
+  ThreadPool callers(kCallers);
+  callers.parallel_for_each(kCallers, [&](index_t c) {
+    got[static_cast<std::size_t>(c)] =
+        fulfill_batch(store, "k", points, drifting, nullptr);
   });
-  EXPECT_EQ(calls.load(), static_cast<int>(points.size()));
+  EXPECT_EQ(calls.load(), kCallers * static_cast<int>(points.size()));
   EXPECT_EQ(store.size(), points.size());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    SampleStats kept;
+    ASSERT_EQ(store.probe("k", points[i], &kept),
+              SampleStore::Origin::Memory);
+    for (const auto& stats : got) expect_same_bits(stats[i], kept);
+  }
 }
 
-TEST(MeasurementScheduler, MeasurementFailureSettlesAllWaiters) {
+TEST(MeasurementScheduler, MeasurementFailureStoresTheOtherPoints) {
   SampleStore store;
   ThreadPool pool(2);
-  MeasurementScheduler scheduler(pool, store);
   const auto failing = [](const std::vector<index_t>& point) -> SampleStats {
     if (point[0] == 24) throw std::runtime_error("sensor exploded");
     return stats_for(point);
   };
   const auto points = grid_points(4);  // contains {24, 32}
-  EXPECT_THROW((void)scheduler.fulfill("k", points, failing,
-                                       MeasurementScheduler::Mode::Parallel),
+  EXPECT_THROW((void)fulfill_batch(store, "k", points, failing, &pool),
                std::runtime_error);
   // The failed point was not inserted; the others were, and a retry with
   // a working measure completes.
   std::atomic<int> calls{0};
   const auto stats =
-      scheduler.fulfill("k", points, counting_measure(&calls),
-                        MeasurementScheduler::Mode::Exclusive);
+      fulfill_batch(store, "k", points, counting_measure(&calls), nullptr);
   EXPECT_EQ(calls.load(), 1);
   for (std::size_t i = 0; i < points.size(); ++i) {
     expect_stats_eq(stats[i], stats_for(points[i]));
@@ -531,15 +541,13 @@ TEST(MeasurementScheduler, JournalFollowsBatchOrderNotCompletionOrder) {
   {
     SampleStore store(dir);
     ThreadPool pool(4);
-    MeasurementScheduler scheduler(pool, store);
     // Later points finish first.
     const auto reversed = [&](const std::vector<index_t>& point) {
       std::this_thread::sleep_for(
           std::chrono::milliseconds(2 * (80 - point[0]) / 8));
       return stats_for(point);
     };
-    (void)scheduler.fulfill("k", points, reversed,
-                            MeasurementScheduler::Mode::Parallel);
+    (void)fulfill_batch(store, "k", points, reversed, &pool);
   }
   EXPECT_EQ(read_text(dir / SampleStore::journal_filename("k")),
             expected_journal(points));
@@ -562,13 +570,10 @@ TEST(MeasurementScheduler, TornBatchKeepsCompleteLinesAndRemeasuresTheRest) {
   {
     SampleStore store(dir);
     ThreadPool pool(2);
-    MeasurementScheduler scheduler(pool, store);
     std::atomic<int> calls{0};
-    (void)scheduler.fulfill(key, first, counting_measure(&calls),
-                            MeasurementScheduler::Mode::Parallel);
+    (void)fulfill_batch(store, key, first, counting_measure(&calls), &pool);
     batch_start = fs::file_size(journal);
-    (void)scheduler.fulfill(key, points, counting_measure(&calls),
-                            MeasurementScheduler::Mode::Parallel);
+    (void)fulfill_batch(store, key, points, counting_measure(&calls), &pool);
     EXPECT_EQ(calls.load(), 7);
   }
   const std::string full = read_text(journal);
@@ -589,12 +594,10 @@ TEST(MeasurementScheduler, TornBatchKeepsCompleteLinesAndRemeasuresTheRest) {
     {
       SampleStore store(dir);
       ThreadPool pool(2);
-      MeasurementScheduler scheduler(pool, store);
       std::atomic<int> calls{0};
       FulfillStats fs_out;
-      const auto stats =
-          scheduler.fulfill(key, points, counting_measure(&calls),
-                            MeasurementScheduler::Mode::Parallel, &fs_out);
+      const auto stats = fulfill_batch(
+          store, key, points, counting_measure(&calls), &pool, &fs_out);
       EXPECT_EQ(fs_out.from_disk, kept);
       EXPECT_EQ(fs_out.measured, 7 - kept);
       for (std::size_t i = 0; i < points.size(); ++i) {
@@ -631,13 +634,11 @@ TEST(MeasurementScheduler, FailedBatchStillJournalsItsSuccessesInOrder) {
   {
     SampleStore store(dir);
     ThreadPool pool(4);
-    MeasurementScheduler scheduler(pool, store);
     const auto failing = [](const std::vector<index_t>& point) -> SampleStats {
       if (point[0] == 24) throw std::runtime_error("sensor exploded");
       return stats_for(point);
     };
-    EXPECT_THROW((void)scheduler.fulfill("k", points, failing,
-                                         MeasurementScheduler::Mode::Parallel),
+    EXPECT_THROW((void)fulfill_batch(store, "k", points, failing, &pool),
                  std::runtime_error);
   }
   // Every successful point of the failed batch was journaled, in order.

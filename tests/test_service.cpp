@@ -194,6 +194,57 @@ TEST(ModelService, ConcurrentGetOrGenerateSharesOneGeneration) {
   fs::remove_all(dir);
 }
 
+// Two keys' sources fail with different errors. generate_all rethrows
+// the error of the lower job index and still stores the other keys, and
+// it leaves no claim behind: a later call with a working source
+// generates the failed keys.
+TEST(ModelService, GenerateAllRethrowsTheFirstErrorInJobOrder) {
+  const fs::path dir = fresh_dir("dlap_svc_errors");
+  const std::vector<ModelJob> jobs = four_jobs();
+  const ModelKey bad1 = ModelService::key_for(jobs[1]);
+  const ModelKey bad3 = ModelService::key_for(jobs[3]);
+  const auto message = [](const ModelKey& key) {
+    return "source of " + key.to_string() + " failed";
+  };
+  std::atomic<bool> broken{true};
+  ServiceConfig cfg = synthetic_config(dir, 4);
+  cfg.measure_factory = [&](const ModelJob& job) {
+    const ModelKey key = ModelService::key_for(job);
+    const MeasureFn works = synthetic_measure(offset_for(job));
+    if (key != bad1 && key != bad3) return works;
+    return MeasureFn([&broken, works, what = message(key)](
+                         const std::vector<index_t>& point) {
+      if (broken.load()) throw std::runtime_error(what);
+      return works(point);
+    });
+  };
+  ModelService service(cfg);
+
+  try {
+    (void)service.generate_all(jobs);
+    ADD_FAILURE() << "generate_all did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(e.what(), message(bad1));
+  }
+  EXPECT_NE(service.find(ModelService::key_for(jobs[0])), nullptr);
+  EXPECT_NE(service.find(ModelService::key_for(jobs[2])), nullptr);
+  EXPECT_EQ(service.find(bad1), nullptr);
+  EXPECT_EQ(service.find(bad3), nullptr);
+
+  broken.store(false);
+  const std::uint64_t epoch0 = service.stats_epoch();
+  const auto models = service.generate_all(jobs);
+  ASSERT_EQ(models.size(), jobs.size());
+  for (const ModelKey& key : {bad1, bad3}) {
+    const auto stats = service.generation_stats(key);
+    ASSERT_TRUE(stats.has_value()) << key.to_string();
+    EXPECT_TRUE(stats->generated) << key.to_string();
+    EXPECT_GT(stats->epoch, epoch0) << key.to_string();
+    EXPECT_NE(service.find(key), nullptr) << key.to_string();
+  }
+  fs::remove_all(dir);
+}
+
 // The engine-wide sample store makes a regeneration over a wider domain
 // reuse every point already measured for the same key.
 TEST(ModelService, SampleStoreReusesMeasurementsAcrossGenerations)
