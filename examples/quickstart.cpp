@@ -55,9 +55,9 @@ int main() {
                  predicted.status().to_string().c_str());
     return 1;
   }
-  std::printf("\nrepository: %s (%zu resolver keys interned)\n",
+  std::printf("\nrepository: %s (models cached: %zu)\n",
               engine.service().repository().directory().c_str(),
-              engine.interned_keys());
+              engine.service().repository().cache_size());
 
   // --- 3. A typed sweep -------------------------------------------------
   // Predict a whole block-size sweep of blocked triangular inversion with

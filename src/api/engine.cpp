@@ -53,21 +53,6 @@ Engine::Engine(EngineConfig config)
 
 // ------------------------------------------------------------ compilation
 
-std::shared_ptr<CompiledSweepPoint> Engine::make_point(
-    std::shared_ptr<const CompiledTrace> compiled, const SystemSpec& system) {
-  std::vector<int> ids;
-  ids.reserve(compiled->keys().size());
-  for (const CompiledKey& key : compiled->keys()) {
-    // One interner probe per DISTINCT key of the trace, not per call --
-    // and a heterogeneous one: no temporary ModelKey strings.
-    ids.push_back(interner_.intern(ModelKeyRef{routine_name(key.routine),
-                                               system.backend,
-                                               system.locality, key.flags}));
-  }
-  return std::make_shared<CompiledSweepPoint>(std::move(compiled),
-                                              std::move(ids));
-}
-
 std::shared_ptr<CompiledSweepPoint> Engine::compile_spec(
     const OperationSpec& spec, const OperationDescriptor& family,
     const SystemSpec& system) {
@@ -81,7 +66,7 @@ std::shared_ptr<CompiledSweepPoint> Engine::compile_spec(
     trace = std::make_shared<const CompiledTrace>(spec.compile());
     compiled_traces_.insert(key.trace, trace);
   }
-  auto point = make_point(std::move(trace), system);
+  auto point = std::make_shared<CompiledSweepPoint>(std::move(trace));
   sweep_points_.insert(key, point);
   return point;
 }
@@ -94,41 +79,42 @@ Status Engine::resolve(
     std::vector<std::shared_ptr<const ResolvedSlots>>* slots) noexcept {
   try {
     slots->assign(points.size(), nullptr);
-    const std::uint64_t version = model_version_.load(std::memory_order_acquire);
+    const std::uint64_t version = service_.repository().version();
 
-    // --- Fast path: reuse every snapshot still current at `version`. ---
-    std::vector<std::size_t> stale;
+    // --- Fast path: every snapshot is still current at `version`. ------
+    bool all_current = true;
     for (std::size_t i = 0; i < points.size(); ++i) {
-      if (auto snap = points[i]->slots(version)) {
-        (*slots)[i] = std::move(snap);
-      } else {
-        stale.push_back(i);
-      }
+      (*slots)[i] = points[i]->slots(version);
+      if ((*slots)[i] == nullptr) all_current = false;
     }
-    if (stale.empty()) return {};
+    if (all_current) return {};
 
-    // --- Gather the per-key parameter ranges the stale points need, ----
-    // one Need per interned id, bounding boxes over UNIQUE entries only.
-    // Compilation drops zero-size calls, so every key has an entry.
+    // --- One Need per model key over EVERY point, so one query never ---
+    // mixes models of a key: the bounding box of the key's unique calls.
+    // Compilation drops zero-size calls, so every key has an entry. Needs
+    // keep first-seen order, which is the order their jobs generate in.
+    // need_of[i][k] is the Need of compiled key k of point i.
     struct Need {
       ModelKey key;
-      Region needed;  // bounding box of the key's unique calls
+      Region needed;
       std::vector<index_t> lo, hi;
+      std::shared_ptr<const RoutineModel> model;
     };
-    std::map<int, Need> needs;
-    for (const std::size_t i : stale) {
+    std::vector<Need> needs;
+    std::map<ModelKey, std::size_t> need_index;
+    std::vector<std::vector<std::size_t>> need_of(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
       const CompiledTrace& trace = points[i]->trace();
-      const std::vector<int>& ids = points[i]->ids();
-      for (std::size_t k = 0; k < trace.keys().size(); ++k) {
-        Need& need = needs[ids[k]];
-        if (need.key.routine.empty()) {
-          const CompiledKey& ck = trace.keys()[k];
-          need.key = ModelKey{routine_name(ck.routine), system.backend,
-                              system.locality, ck.flags};
-        }
+      for (const CompiledKey& ck : trace.keys()) {
+        const auto [it, added] = need_index.emplace(
+            ModelKey{routine_name(ck.routine), system.backend,
+                     system.locality, ck.flags},
+            needs.size());
+        if (added) needs.push_back({it->first, {}, {}, {}, nullptr});
+        need_of[i].push_back(it->second);
       }
       for (const CompiledCall& call : trace.entries()) {
-        Need& need = needs[ids[static_cast<std::size_t>(call.key)]];
+        Need& need = needs[need_of[i][static_cast<std::size_t>(call.key)]];
         if (need.lo.empty()) {
           need.lo = call.sizes;
           need.hi = call.sizes;
@@ -140,47 +126,30 @@ Status Engine::resolve(
         }
       }
     }
-    for (auto& [id, need] : needs) need.needed = Region(need.lo, need.hi);
+    for (Need& need : needs) need.needed = Region(need.lo, need.hi);
 
-    // --- Phase A: satisfy from the engine cache, then the repository. ---
-    std::map<int, std::shared_ptr<const RoutineModel>> resolved;
-    {
-      std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-      for (const auto& [id, need] : needs) {
-        if (static_cast<std::size_t>(id) < cache_.size() &&
-            covers_needed(cache_[static_cast<std::size_t>(id)].get(),
-                          need.needed)) {
-          resolved[id] = cache_[static_cast<std::size_t>(id)];
-        }
-      }
-    }
-    // Keys to generate: their ids, and the jobs that generate them.
-    std::vector<int> to_generate;
+    // --- Take each model from the repository, else plan its job. -------
+    std::vector<Need*> to_generate;  // the Needs the jobs generate
     std::vector<ModelJob> jobs;
     std::vector<ModelJob> planned;  // planned on the first key to generate
-    for (const auto& [id, need] : needs) {
-      if (resolved.count(id) != 0) continue;
-      std::shared_ptr<const RoutineModel> stored = service_.find(need.key);
-      if (covers_needed(stored.get(), need.needed)) {
-        resolved[id] = std::move(stored);
-        continue;
-      }
+    for (Need& need : needs) {
+      const ModelKey& key = need.key;
+      need.model = service_.find(key);
+      if (covers_needed(need.model.get(), need.needed)) continue;
       if (!config_.generate_missing) {
-        if (stored == nullptr) {
+        if (need.model == nullptr) {
           return Status::error(StatusCode::MissingModel,
-                               "no model for " + need.key.to_string() +
+                               "no model for " + key.to_string() +
                                    " and on-demand generation is disabled");
         }
         return Status::error(
             StatusCode::UncoveredDomain,
-            "stored model " + need.key.to_string() + " covers " +
-                stored->model.domain().to_string() + " but the query needs " +
-                need.needed.to_string() +
+            "stored model " + key.to_string() + " covers " +
+                need.model->model.domain().to_string() +
+                " but the query needs " + need.needed.to_string() +
                 " and on-demand generation is disabled");
       }
       if (planned.empty()) {
-        // Over every point of the query, not only the stale ones, so a
-        // regenerated domain covers the whole query.
         std::vector<const CompiledTrace*> traces;
         traces.reserve(points.size());
         for (const CompiledSweepPoint* point : points) {
@@ -189,120 +158,62 @@ Status Engine::resolve(
         planned = plan_jobs(traces, system, config_.planning);
       }
       const auto it = std::find_if(
-          planned.begin(), planned.end(), [&need = need](const ModelJob& j) {
-            return ModelService::key_for(j) == need.key;
+          planned.begin(), planned.end(), [&key = key](const ModelJob& j) {
+            return ModelService::key_for(j) == key;
           });
       if (it == planned.end()) {
         return Status::error(StatusCode::InternalError,
                              "planner produced no job for " +
-                                 need.key.to_string());
+                                 key.to_string());
       }
       // The service grows a stored domain rather than replacing it.
-      to_generate.push_back(id);
+      to_generate.push_back(&need);
       jobs.push_back(*it);
     }
 
-    // --- Phase B: generate what is missing, as one concurrent batch. --
+    // --- Generate what is missing, as one concurrent batch. ------------
     if (!jobs.empty()) {
       try {
         const auto models = service_.generate_all(jobs);
-        for (std::size_t i = 0; i < to_generate.size(); ++i) {
-          resolved[to_generate[i]] = models[i];
+        for (std::size_t j = 0; j < to_generate.size(); ++j) {
+          to_generate[j]->model = models[j];
         }
       } catch (const std::exception& e) {
         return Status::error(StatusCode::GenerationFailed, e.what());
       }
     }
-
-    // --- Phase C: verify coverage, warm the model cache, stamp slots. --
-    // Every needed key is resolved by now; a key Phases A/B left out is a
-    // broken invariant, which at() turns into an InternalError status.
-    for (const auto& [id, need] : needs) {
-      const RoutineModel* model = resolved.at(id).get();
-      if (!covers_needed(model, need.needed)) {
+    for (const Need& need : needs) {
+      if (!covers_needed(need.model.get(), need.needed)) {
         return Status::error(
             StatusCode::UncoveredDomain,
             "model " + need.key.to_string() + " covers " +
-                model->model.domain().to_string() +
+                need.model->model.domain().to_string() +
                 " but the query needs " + need.needed.to_string());
       }
     }
-    bool changed = false;
-    {
-      std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-      if (cache_.size() < interner_.size()) cache_.resize(interner_.size());
-      for (const auto& [id, model] : resolved) {
-        auto& slot = cache_[static_cast<std::size_t>(id)];
-        if (slot == model) continue;  // same pointer: nothing to invalidate
-        // Entries only ever widen: a concurrent resolve that satisfied a
-        // narrower query from the repository must not shrink a wider
-        // cached model.
-        if (slot == nullptr ||
-            (model->model.domain().dims() == slot->model.domain().dims() &&
-             model->model.domain().covers(slot->model.domain()))) {
-          slot = model;
-          changed = true;
-        }
-      }
-      // The bump happens under the SAME lock as the writes: any reader
-      // that observes a changed entry through the lock also observes the
-      // moved version, so its freshness re-check below cannot miss it.
-      if (changed) model_version_.fetch_add(1, std::memory_order_acq_rel);
-    }
 
-    // --- Build the snapshots from the verified Phase A/B models. -------
-    // Snapshots are stamped with the PRE-resolution version: when this
-    // resolve (or a concurrent one) changed models, they self-expire and
-    // the next query performs one cheap all-Phase-A refresh, then
-    // stabilizes. Stamping the post-change version instead could mask a
-    // concurrent generation's update forever.
-    const bool version_moved =
-        changed ||
-        model_version_.load(std::memory_order_acquire) != version;
-    for (const std::size_t i : stale) {
-      const std::vector<int>& ids = points[i]->ids();
+    // --- Give every point a snapshot of those models. A point whose ----
+    // current snapshot pins exactly them keeps it, with its stored
+    // prediction and text. New snapshots are stamped with the version
+    // read BEFORE resolving: when a store or a reload moved it meanwhile
+    // (this resolve's generation included), the next query resolves them
+    // again. Stamping a later version could mark a snapshot current that
+    // a concurrent store already made stale.
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const std::vector<std::size_t>& of = need_of[i];
+      const ResolvedSlots* held = (*slots)[i].get();
+      bool same = held != nullptr;
+      for (std::size_t k = 0; same && k < of.size(); ++k) {
+        same = held->pins[k] == needs[of[k]].model;
+      }
+      if (same) continue;
       auto snap = std::make_shared<ResolvedSlots>();
-      snap->assign(ids.size(), version);
-      for (std::size_t k = 0; k < ids.size(); ++k) {
-        snap->set(k, resolved.at(ids[k]));
+      snap->assign(of.size(), version);
+      for (std::size_t k = 0; k < of.size(); ++k) {
+        snap->set(k, needs[of[k]].model);
       }
-      // With a moved version this snapshot is only the base for the
-      // upgrade pass below, which builds (and stores) the final one.
-      if (!version_moved) points[i]->store_slots(snap);
+      points[i]->store_slots(snap);
       (*slots)[i] = std::move(snap);
-    }
-
-    // When some model changed (here or on a concurrent thread) while this
-    // resolve was reading, the per-point results could mix model
-    // generations within ONE query (e.g. a ranking comparing candidates
-    // resolved before and after a regeneration). Upgrade every point's
-    // slots in a single locked pass over the cache: a slot moves to the
-    // cached model ONLY when that model covers the verified one's domain
-    // (hence the point's needs) -- a concurrently generated model for a
-    // disjoint range must not displace the model the point was verified
-    // against.
-    if (version_moved) {
-      std::shared_lock<std::shared_mutex> lock(cache_mutex_);
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        const std::vector<int>& ids = points[i]->ids();
-        const ResolvedSlots& base = *(*slots)[i];
-        auto snap = std::make_shared<ResolvedSlots>();
-        snap->assign(ids.size(), version);
-        for (std::size_t k = 0; k < ids.size(); ++k) {
-          const auto id = static_cast<std::size_t>(ids[k]);
-          std::shared_ptr<const RoutineModel> use = base.pins[k];
-          if (id < cache_.size() && cache_[id] != nullptr &&
-              cache_[id] != use &&
-              cache_[id]->model.domain().dims() ==
-                  use->model.domain().dims() &&
-              cache_[id]->model.domain().covers(use->model.domain())) {
-            use = cache_[id];
-          }
-          snap->set(k, std::move(use));
-        }
-        points[i]->store_slots(snap);
-        (*slots)[i] = std::move(snap);
-      }
     }
     return {};
   } catch (const std::exception& e) {
@@ -332,9 +243,9 @@ Result<Prediction> Engine::predict(const PredictQuery& query) noexcept {
                                    e.what());
         }
       }
-      point = make_point(std::make_shared<const CompiledTrace>(
-                             CompiledTrace::compile(query.trace)),
-                         system);
+      point = std::make_shared<CompiledSweepPoint>(
+          std::make_shared<const CompiledTrace>(
+              CompiledTrace::compile(query.trace)));
     }
     std::vector<std::shared_ptr<const ResolvedSlots>> slots;
     if (Status s = resolve({point.get()}, system, &slots); !s.ok()) {
@@ -480,17 +391,15 @@ Status Engine::prepare(const std::vector<OperationSpec>& specs,
 
     // Per-key accounting: every key the points use, in first-seen order,
     // attributed to this call when its stats record is newer than epoch0
-    // (otherwise the key was satisfied from the engine cache / an
-    // earlier run).
+    // (otherwise the repository already held the key).
     report->keys.clear();
-    std::set<int> seen;
+    std::set<ModelKey> seen;
     for (const CompiledSweepPoint* point : ptrs) {
-      const std::vector<CompiledKey>& keys = point->trace().keys();
-      for (std::size_t k = 0; k < keys.size(); ++k) {
-        if (!seen.insert(point->ids()[k]).second) continue;
+      for (const CompiledKey& ck : point->trace().keys()) {
         PrepareReport::Key entry;
-        entry.key = ModelKey{routine_name(keys[k].routine), sys.backend,
-                             sys.locality, keys[k].flags};
+        entry.key = ModelKey{routine_name(ck.routine), sys.backend,
+                             sys.locality, ck.flags};
+        if (!seen.insert(entry.key).second) continue;
         if (const auto stats = service_.generation_stats(entry.key);
             stats.has_value() && stats->epoch > epoch0 && stats->generated) {
           entry.generated = true;
@@ -526,17 +435,13 @@ Status Engine::reload(const std::vector<OperationSpec>& specs,
                          std::string("Engine::reload: ") + e.what());
   }
   try {
-    {
-      std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-      for (auto& slot : cache_) slot.reset();
-      // Same-lock bump as resolve(): every ResolvedSlots snapshot
-      // stamped before this expires, so the next query per sweep point
-      // re-resolves against the reloaded repository.
-      model_version_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    // The expired snapshots would pin the previous models until their
-    // point is queried again or evicted. Take them out of the cached
-    // points, and free them after the shard and point locks are dropped.
+    // reload_container dropped the repository's model cache, which moved
+    // its version: every snapshot stamped before expired, so the next
+    // query per sweep point re-resolves against the reloaded repository.
+    // The expired snapshots would still pin the previous models until
+    // their point is queried again or evicted. Take them out of the
+    // cached points, and free them after the shard and point locks are
+    // dropped.
     std::vector<std::shared_ptr<const ResolvedSlots>> expired;
     sweep_points_.for_each([&expired](const CompiledSweepPoint& point) {
       if (auto slots = point.take_slots()) expired.push_back(std::move(slots));

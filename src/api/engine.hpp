@@ -18,29 +18,27 @@
 //     at once; callers that want queries to run concurrently bring their
 //     own threads (dlapd runs the engine from its worker pool);
 //   - the compiled sweep path: every query point is compiled to a
-//     CompiledTrace (deduped calls, predict/compiled_trace.hpp) with its
-//     resolver keys interned to dense ids (api/intern.hpp) and its models
-//     held in a versioned slot snapshot. A spec compiles as its blocked
-//     algorithm runs (OperationSpec::compile), with no CallTrace built.
-//     Two sharded LRUs cache the work (api/trace_cache.hpp): compiled
-//     traces keyed by (family, variant, sizes, blocksize) alone, shared
-//     by every system, and sweep points keyed by that plus the system
-//     (backend, locality). A repeated or overlapping sweep skips
-//     compilation, interning and model resolution; a known spec under a
-//     new system skips compilation. A slot snapshot also keeps the
-//     prediction its models imply, computed on first read by evaluating
-//     each model once per unique call, so a repeated point evaluates no
-//     model at all.
+//     CompiledTrace (deduped calls, predict/compiled_trace.hpp) and its
+//     models are held in a slot snapshot stamped with the model
+//     repository's version. A spec compiles as its blocked algorithm runs
+//     (OperationSpec::compile), with no CallTrace built. Two sharded LRUs
+//     cache the work (api/trace_cache.hpp): compiled traces keyed by
+//     (family, variant, sizes, blocksize) alone, shared by every system,
+//     and sweep points keyed by that plus the system (backend, locality).
+//     A repeated or overlapping sweep skips compilation and model
+//     resolution; a known spec under a new system skips compilation. A
+//     slot snapshot also keeps the prediction its models imply, computed
+//     on first read by evaluating each model once per unique call, so a
+//     repeated point evaluates no model at all;
+//   - one model cache: models resolve through the repository's cache
+//     (modeler/repository.hpp), then its text files and container, then
+//     on-demand generation. The engine keeps no model table of its own.
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
-#include "api/intern.hpp"
 #include "api/plan.hpp"
 #include "api/query.hpp"
 #include "api/result.hpp"
@@ -140,12 +138,12 @@ class Engine {
   // ----------------------------------------------------------- warm-up
 
   /// Generates every model the specs need (union of their traces) as one
-  /// concurrent batch and warms the resolver cache AND the compiled-trace
-  /// cache -- call before a query sweep so no query pays generation or
-  /// compilation latency. When `report` is non-null it is filled with
-  /// per-key generation accounting: what was generated vs. reused, and
-  /// how many points were measured vs. warm-started from the in-memory
-  /// store or the on-disk sample repository.
+  /// concurrent batch and warms the repository's model cache AND the
+  /// compiled-trace cache -- call before a query sweep so no query pays
+  /// generation or compilation latency. When `report` is non-null it is
+  /// filled with per-key generation accounting: what was generated vs.
+  /// reused, and how many points were measured vs. warm-started from the
+  /// in-memory store or the on-disk sample repository.
   [[nodiscard]] Status prepare(const std::vector<OperationSpec>& specs,
                                std::optional<SystemSpec> system = {},
                                PrepareReport* report = nullptr) noexcept;
@@ -153,28 +151,24 @@ class Engine {
   // ------------------------------------------------------------ reload
 
   /// Hot model reload, the dlapd admin path: re-attaches the service's
-  /// binary container (picking up a repository.dlapc replaced on disk),
-  /// drops the engine's model cache, expires every sweep point's slot
-  /// snapshot (version bump) and releases the snapshots the cached sweep
-  /// points hold, so the previous models (and the container mapping they
-  /// borrow from) are freed once no in-flight answer holds them; both
-  /// cache layers (compiled traces, sweep points) stay. Then -- when
-  /// `specs` is non-empty -- it regenerates/loads the models those specs
-  /// need (Engine::prepare).
+  /// binary container (picking up a repository.dlapc replaced on disk)
+  /// and drops the repository's model cache, which moves its version and
+  /// so expires every sweep point's slot snapshot; then it releases the
+  /// snapshots the cached sweep points hold, so the previous models (and
+  /// the container mapping they borrow from) are freed once no in-flight
+  /// answer holds them; both cache layers (compiled traces, sweep points)
+  /// stay. Then -- when `specs` is non-empty -- it regenerates/loads the
+  /// models those specs need (Engine::prepare).
   /// Concurrent queries are never stalled: in-flight predictions finish
   /// on the model snapshots they pinned, later queries re-resolve from
-  /// the reloaded repository. A query racing the reload may briefly
-  /// re-publish its pinned pre-reload model into the engine cache; the
-  /// version bump makes the next resolve of that key re-check coverage,
-  /// and a subsequent prepare/regeneration supersedes it.
+  /// the reloaded repository. A snapshot a query racing the reload
+  /// stores is stamped with the version before the reload, so the next
+  /// query of its point resolves it again.
   [[nodiscard]] Status reload(const std::vector<OperationSpec>& specs = {},
                               std::optional<SystemSpec> system = {},
                               PrepareReport* report = nullptr) noexcept;
 
   // ----------------------------------------------------- observability
-
-  /// Resolver keys interned so far.
-  [[nodiscard]] std::size_t interned_keys() const { return interner_.size(); }
 
   /// Sweep-point cache counters (hits/misses/evictions/size): one probe
   /// per spec a rank, tune, spec predict or prepare asks for.
@@ -188,8 +182,9 @@ class Engine {
     return compiled_traces_.stats();
   }
 
-  /// Drops every cached sweep point and compiled trace (model caches are
-  /// unaffected). Mainly for benchmarks that measure the cold path.
+  /// Drops every cached sweep point and compiled trace (the repository's
+  /// model cache is unaffected). Mainly for benchmarks that measure the
+  /// cold path.
   void clear_trace_cache() {
     sweep_points_.clear();
     compiled_traces_.clear();
@@ -201,46 +196,28 @@ class Engine {
     return override_spec.value_or(config_.system);
   }
 
-  /// An (uncached) sweep point of a compiled trace: its resolver keys
-  /// interned under `system`.
-  [[nodiscard]] std::shared_ptr<CompiledSweepPoint> make_point(
-      std::shared_ptr<const CompiledTrace> compiled,
-      const SystemSpec& system);
-
   /// Cached compilation of a spec validated against `family`: sweep-point
   /// lookup; on a miss, the compiled-trace lookup (spec.compile() + insert
-  /// when that misses too), then intern + insert of a new point. A
-  /// one-axis family's spec is keyed with m = 0, since its algorithm
-  /// ignores m.
+  /// when that misses too), then the insert of a new point. A one-axis
+  /// family's spec is keyed with m = 0, since its algorithm ignores m.
   [[nodiscard]] std::shared_ptr<CompiledSweepPoint> compile_spec(
       const OperationSpec& spec, const OperationDescriptor& family,
       const SystemSpec& system);
 
-  /// Produces one current slot snapshot per sweep point: fresh snapshots
-  /// are reused as-is; stale ones trigger model resolution (engine cache
-  /// -> repository -> on-demand generation), coverage verification
-  /// against the points' unique calls, and a version-stamped rebuild. A
+  /// Produces one slot snapshot per sweep point. While every point's
+  /// snapshot is current at the repository's version they are returned
+  /// as-is. Otherwise every point resolves against one model per key
+  /// (repository -> on-demand generation), verified to cover the unique
+  /// calls of all the points; a point whose current snapshot pins exactly
+  /// those models keeps it, the others get a version-stamped rebuild. A
   /// key that has to be generated is planned (plan_jobs) over the
-  /// compiled traces of ALL the points, stale or not.
+  /// compiled traces of all the points.
   [[nodiscard]] Status resolve(
       const std::vector<const CompiledSweepPoint*>& points,
       const SystemSpec& system,
       std::vector<std::shared_ptr<const ResolvedSlots>>* slots) noexcept;
 
   EngineConfig config_;
-  KeyInterner interner_;
-
-  // Model cache indexed by interned id; entries only ever widen (a model
-  // is replaced by one covering a larger domain). Readers snapshot under
-  // the shared lock and pin entries via shared_ptr, so the predict loop
-  // itself runs lock-free on its local snapshot.
-  mutable std::shared_mutex cache_mutex_;
-  std::vector<std::shared_ptr<const RoutineModel>> cache_;
-
-  // Monotonic model-cache version: bumped whenever an entry of cache_
-  // changes, which is what invalidates ResolvedSlots snapshots
-  // (invalidation-on-regeneration for the compiled sweep path).
-  std::atomic<std::uint64_t> model_version_{0};
 
   // Compiled traces (system-free) and the sweep points built on them,
   // shared across all queries of this engine.

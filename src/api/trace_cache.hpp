@@ -7,34 +7,33 @@
 // queries, and across overlapping queries from many users -- and often
 // under several systems (both localities, several backends, a model set
 // regenerated under a new backend name). Each point's work factors into
-// three layers of decreasing volatility:
+// two layers of different volatility:
 //
 //   1. the compiled trace                     -- fixed per spec, whatever
 //                                                the system,
-//   2. the interned resolver ids of its keys  -- fixed per (spec, system)
-//                                                for the engine's life,
-//   3. the resolved model pointers            -- valid until some model
-//                                                is (re)generated.
+//   2. the resolved model pointers            -- valid until the model
+//                                                repository's version
+//                                                moves.
 //
 // Layer 1 is system-free: a CompiledTrace names (routine, flags) keys,
 // never a backend or locality, so one trace serves every system. It lives
 // in its own sharded LRU keyed by TraceKey (CompiledTraceCache), held as
 // a shared immutable value. CompiledSweepPoint holds that shared trace
-// with layer 2 immutably and layer 3 as a versioned snapshot
-// (ResolvedSlots) stamped with the engine's model-cache version; when a
-// generation widens any model the version moves on and the snapshot is
-// rebuilt on next use (invalidation-on-regeneration); Engine::reload
-// also takes the snapshots out of the cached points (take_slots), so
-// they stop pinning the previous models. A prediction is a pure function
-// of the compiled trace and the models, so the snapshot also keeps the
-// Prediction its models imply and that prediction's wire text
-// (write_prediction), both computed on first read. The points live in a
-// second sharded LRU keyed by SweepPointKey (SweepPointCache), so a
+// with layer 2 as a versioned snapshot (ResolvedSlots) stamped with the
+// model repository's version (modeler/repository.hpp); when a store or a
+// reload moves the version, the point's next query resolves it again and
+// builds a fresh snapshot (invalidation-on-regeneration);
+// Engine::reload also takes the snapshots out of the cached points
+// (take_slots), so they stop pinning the previous models. A prediction is
+// a pure function of the compiled trace and the models, so the snapshot
+// also keeps the Prediction its models imply and that prediction's wire
+// text (write_prediction), both computed on first read. The points live
+// in a second sharded LRU keyed by SweepPointKey (SweepPointCache), so a
 // repeated or overlapping sweep skips compilation (OperationSpec::compile,
-// which runs the blocked algorithm against a CompilingContext), interning,
-// model evaluation and number formatting entirely, and a known spec under
-// a new system skips compilation. Evicting a point leaves its trace in
-// layer 1.
+// which runs the blocked algorithm against a CompilingContext), model
+// resolution, model evaluation and number formatting entirely, and a
+// known spec under a new system skips compilation. Evicting a point
+// leaves its trace in layer 1.
 
 #include <cstdint>
 #include <functional>
@@ -66,7 +65,7 @@ struct TraceKey {
 };
 
 /// Identity of one sweep point: a compiled trace plus the system whose
-/// interned ids the point carries.
+/// models the point's snapshot holds.
 struct SweepPointKey {
   TraceKey trace;
   std::string backend;
@@ -98,7 +97,7 @@ struct TraceKeyHash {
 };
 
 /// Immutable snapshot of the models resolved for a compiled trace's keys,
-/// stamped with the engine model-cache version it was built against.
+/// stamped with the repository version read before they were resolved.
 /// `pins[k]` answers keys()[k] and keeps it alive for the snapshot's
 /// lifetime (an engine snapshot has a model for every key); `models` is
 /// the raw-pointer mirror the lock-free predict loop indexes. On first
@@ -156,18 +155,14 @@ struct ResolvedSlots {
   mutable std::string prediction_json_;
 };
 
-/// One cached sweep point: the shared compiled trace, its keys' interned
-/// ids under the point's system (stable for the owning engine's
-/// lifetime), and the current slot snapshot.
+/// One cached sweep point: the shared compiled trace and the current
+/// slot snapshot of the models of the point's system.
 class CompiledSweepPoint {
  public:
-  CompiledSweepPoint(std::shared_ptr<const CompiledTrace> trace,
-                     std::vector<int> ids)
-      : trace_(std::move(trace)), ids_(std::move(ids)) {}
+  explicit CompiledSweepPoint(std::shared_ptr<const CompiledTrace> trace)
+      : trace_(std::move(trace)) {}
 
   [[nodiscard]] const CompiledTrace& trace() const noexcept { return *trace_; }
-  /// Interned resolver id per compiled key.
-  [[nodiscard]] const std::vector<int>& ids() const noexcept { return ids_; }
 
   /// The snapshot if it is still current at `version`, nullptr otherwise
   /// (the caller then re-resolves and stores a fresh one).
@@ -192,7 +187,6 @@ class CompiledSweepPoint {
 
  private:
   std::shared_ptr<const CompiledTrace> trace_;
-  std::vector<int> ids_;
   mutable std::mutex mutex_;
   mutable std::shared_ptr<const ResolvedSlots> slots_;
 };
@@ -200,7 +194,7 @@ class CompiledSweepPoint {
 /// Layer 1: system-free compiled traces, shared by every point and system.
 using CompiledTraceCache =
     ShardedLru<TraceKey, const CompiledTrace, TraceKeyHash>;
-/// Layers 2 and 3: one point per (trace, system).
+/// Layer 2: one point per (trace, system).
 using SweepPointCache =
     ShardedLru<SweepPointKey, CompiledSweepPoint, TraceKeyHash>;
 

@@ -2,9 +2,9 @@
 // Fixed-size thread pool with a blocking parallel_for, a dynamically
 // scheduled parallel_for_each, and a future-based submit.
 //
-// The threaded BLAS layer (blas/threaded.hpp) uses this pool to partition
-// level-3 kernels across worker threads, mirroring the paper's use of
-// multithreaded OpenBLAS in Section IV-A4. The model service
+// The threaded BLAS layer (blas/threaded_backend.hpp) uses this pool to
+// partition level-3 kernels across worker threads, mirroring the paper's
+// use of multithreaded OpenBLAS in Section IV-A4. The model service
 // (service/model_service.hpp) uses the same pool type to fan model
 // generation out across (routine, backend, locality, flags) keys. The pool
 // is deliberately simple: a shared queue of jobs, condition-variable

@@ -34,9 +34,8 @@ struct ModelKey {
 };
 
 /// A borrowed view of a ModelKey; the referenced storage must outlive the
-/// call it is passed to. Hot-path lookups (the engine's key interner)
-/// probe with refs assembled straight from trace data, so no temporary
-/// strings are constructed.
+/// call it is passed to. Container lookups (storage/container.hpp) probe
+/// with refs, so no temporary strings are constructed.
 struct ModelKeyRef {
   std::string_view routine;
   std::string_view backend;
@@ -45,11 +44,6 @@ struct ModelKeyRef {
 
   [[nodiscard]] static ModelKeyRef of(const ModelKey& key) noexcept {
     return {key.routine, key.backend, key.locality, key.flags};
-  }
-
-  [[nodiscard]] ModelKey materialize() const {
-    return ModelKey{std::string(routine), std::string(backend), locality,
-                    std::string(flags)};
   }
 };
 

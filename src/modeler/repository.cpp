@@ -302,6 +302,7 @@ void ModelRepository::store(const RoutineModel& model) {
 
   std::lock_guard<std::mutex> lock(mutex_);
   cache_[model.key] = std::make_shared<const RoutineModel>(model);
+  version_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 std::shared_ptr<const RoutineModel> ModelRepository::load_uncached(
@@ -323,20 +324,27 @@ std::shared_ptr<const RoutineModel> ModelRepository::load_from_container(
 
 std::shared_ptr<const RoutineModel> ModelRepository::find(
     const ModelKey& key) const {
-  {
+  for (;;) {
+    std::uint64_t seen = 0;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      const auto it = cache_.find(key);
+      if (it != cache_.end()) return it->second;
+      seen = version_.load(std::memory_order_relaxed);
+    }
+    // Parse outside the lock; a racing find() of the same key at worst
+    // parses twice, and the first to insert wins. A per-key text file
+    // shadows the attached container (newer stores win).
+    std::shared_ptr<const RoutineModel> fresh = load_uncached(key);
+    if (fresh == nullptr) fresh = load_from_container(key);
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = cache_.find(key);
-    if (it != cache_.end()) return it->second;
+    // A store or a reload overlapped the load, which may have read a
+    // file or a container that is no longer current: look again.
+    if (version_.load(std::memory_order_relaxed) != seen) continue;
+    if (fresh == nullptr) return nullptr;
+    auto [it, inserted] = cache_.emplace(key, fresh);
+    return inserted ? fresh : it->second;
   }
-  // Parse outside the lock; a racing find() of the same key at worst
-  // parses twice and both end up with equivalent immutable models. A
-  // per-key text file shadows the attached container (newer stores win).
-  std::shared_ptr<const RoutineModel> fresh = load_uncached(key);
-  if (fresh == nullptr) fresh = load_from_container(key);
-  if (fresh == nullptr) return nullptr;
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto [it, inserted] = cache_.emplace(key, fresh);
-  return inserted ? fresh : it->second;
 }
 
 std::shared_ptr<const RoutineModel> ModelRepository::load_shared(
@@ -394,6 +402,7 @@ std::size_t ModelRepository::cache_size() const {
 void ModelRepository::invalidate_cache() {
   std::lock_guard<std::mutex> lock(mutex_);
   cache_.clear();
+  version_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 }  // namespace dlap

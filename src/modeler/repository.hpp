@@ -6,11 +6,23 @@
 // on top so repeated lookups (prediction runs evaluate the same models
 // thousands of times) never touch the disk twice.
 //
+// That cache is the process's one model cache: the Engine resolves every
+// query through it (api/engine.hpp) and keeps no model table of its own.
+// version() moves whenever a cache entry may change -- store() and
+// invalidate_cache() move it -- and the engine stamps its slot snapshots
+// with it. find() inserts a key only while it is absent, so a lookup
+// never moves the version, and a key's entry changes only in store(). The
+// ModelService stores a key only under its claim, over the union of the
+// job's domain and the stored one, so a cached domain only grows until a
+// reload drops the cache.
+//
 // Thread safety: all member functions may be called concurrently; the
 // on-disk files are written atomically (temp file + rename), so concurrent
 // writers of the same key serialize to "last store wins" and readers never
 // observe a partial file.
 
+#include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -49,8 +61,8 @@ class ModelRepository {
   [[nodiscard]] std::shared_ptr<const storage::ContainerReader> container()
       const;
 
-  /// Writes the model to its key's file (overwriting an existing entry)
-  /// and refreshes the in-memory cache.
+  /// Writes the model to its key's file (overwriting an existing entry),
+  /// refreshes the in-memory cache and moves version().
   void store(const RoutineModel& model);
 
   /// Loads a model; throws dlap::lookup_error if absent.
@@ -63,7 +75,10 @@ class ModelRepository {
   [[nodiscard]] std::shared_ptr<const RoutineModel> load_shared(
       const ModelKey& key) const;
 
-  /// Like load_shared, but returns nullptr instead of throwing.
+  /// Like load_shared, but returns nullptr instead of throwing. A load
+  /// that overlapped a store() or invalidate_cache() is not cached: the
+  /// lookup starts over, so a reload never gets a replaced container's
+  /// model put back.
   [[nodiscard]] std::shared_ptr<const RoutineModel> find(
       const ModelKey& key) const;
 
@@ -77,8 +92,16 @@ class ModelRepository {
   /// Number of models currently held in the in-memory cache.
   [[nodiscard]] std::size_t cache_size() const;
 
-  /// Drops the in-memory cache (subsequent loads re-read the disk).
+  /// Drops the in-memory cache (subsequent loads re-read the disk) and
+  /// moves version().
   void invalidate_cache();
+
+  /// Moves on every store() and invalidate_cache(), under the same lock
+  /// as the cache change: a value read before a lookup is still current
+  /// afterwards only if no cached model changed in between.
+  [[nodiscard]] std::uint64_t version() const noexcept {
+    return version_.load(std::memory_order_acquire);
+  }
 
   /// File name a key maps to (stable; part of the on-disk format). Every
   /// component is escaped so that distinct keys always map to distinct
@@ -102,6 +125,7 @@ class ModelRepository {
   std::filesystem::path dir_;
   mutable std::mutex mutex_;
   mutable std::map<ModelKey, std::shared_ptr<const RoutineModel>> cache_;
+  std::atomic<std::uint64_t> version_{0};
   std::shared_ptr<const storage::ContainerReader> container_;
 };
 

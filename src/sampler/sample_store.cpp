@@ -248,17 +248,9 @@ SampleStore::Origin SampleStore::probe(std::string_view engine_key,
   std::lock_guard<std::mutex> lock(cache.m);
   ensure_replayed(engine_key, cache);
   const auto it = cache.points.find(point);
-  if (it == cache.points.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return Origin::Miss;
-  }
+  if (it == cache.points.end()) return Origin::Miss;
   if (stats != nullptr) *stats = it->second.stats;
-  if (it->second.from_disk) {
-    disk_hits_.fetch_add(1, std::memory_order_relaxed);
-    return Origin::Disk;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return Origin::Memory;
+  return it->second.from_disk ? Origin::Disk : Origin::Memory;
 }
 
 void SampleStore::insert(std::string_view engine_key,
@@ -286,20 +278,6 @@ void SampleStore::insert(std::string_view engine_key,
   insert(engine_key, std::span<Measured>(&one, 1));
 }
 
-SampleStats SampleStore::get_or_measure(std::string_view engine_key,
-                                        const std::vector<index_t>& point,
-                                        const Measure& measure) {
-  SampleStats found;
-  if (probe(engine_key, point, &found) != Origin::Miss) return found;
-  // Measure outside the lock: sampling is the expensive part, and holding
-  // the lock here would serialize all concurrent measurements of the key.
-  // Duplicated measurements of one (key, point) pair can race here; the
-  // first insert wins and both callers return its statistics.
-  Measured one{&point, measure(point)};
-  insert(engine_key, std::span<Measured>(&one, 1));
-  return one.stats;
-}
-
 std::size_t SampleStore::size() const {
   std::lock_guard<std::mutex> lock(table_mutex_);
   std::size_t total = 0;
@@ -308,18 +286,6 @@ std::size_t SampleStore::size() const {
     total += cache.points.size();
   }
   return total;
-}
-
-std::uint64_t SampleStore::hits() const {
-  return hits_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t SampleStore::disk_hits() const {
-  return disk_hits_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t SampleStore::misses() const {
-  return misses_.load(std::memory_order_relaxed);
 }
 
 void SampleStore::clear() {
@@ -333,9 +299,6 @@ void SampleStore::clear() {
     cache.replayed = false;
     if (cache.journal.is_open()) cache.journal.close();
   }
-  hits_.store(0, std::memory_order_relaxed);
-  disk_hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace dlap

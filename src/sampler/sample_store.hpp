@@ -31,8 +31,6 @@
 // other's journal replay, appends, or lookups -- and measurements always
 // run outside every lock.
 
-#include <atomic>
-#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -55,8 +53,6 @@ class ContainerReader;
 
 class SampleStore {
  public:
-  using Measure = std::function<SampleStats(const std::vector<index_t>&)>;
-
   /// Where a probed point was found.
   enum class Origin {
     Miss,    ///< not known (neither in memory nor in any journal)
@@ -80,16 +76,12 @@ class SampleStore {
   [[nodiscard]] std::shared_ptr<const storage::ContainerReader> container()
       const;
 
-  /// Returns the cached statistics for (engine_key, point), measuring and
-  /// inserting them on a miss. engine_key identifies the measurement
-  /// context (normally ModelKey::to_string()): points are only shared
-  /// between measurements of the same routine/backend/locality/flags.
-  [[nodiscard]] SampleStats get_or_measure(std::string_view engine_key,
-                                           const std::vector<index_t>& point,
-                                           const Measure& measure);
-
-  /// Cache probe without measuring; fills *stats when found, and bumps
-  /// the counter of whichever origin answered.
+  /// Cache probe without measuring; fills *stats when found. engine_key
+  /// identifies the measurement context (normally ModelKey::to_string()):
+  /// points are only shared between measurements of the same
+  /// routine/backend/locality/flags. fulfill_batch
+  /// (service/measurement_scheduler.hpp) probes every point of a batch
+  /// and measures the misses.
   [[nodiscard]] Origin probe(std::string_view engine_key,
                              const std::vector<index_t>& point,
                              SampleStats* stats);
@@ -117,20 +109,13 @@ class SampleStore {
   /// Total points cached in memory, across all engine keys.
   [[nodiscard]] std::size_t size() const;
 
-  /// Cache counters (monotonic; for diagnostics and tests): hits_ counts
-  /// points measured by this process and found again, disk_hits_ points
-  /// served from a replayed journal, misses_ points nobody had.
-  [[nodiscard]] std::uint64_t hits() const;
-  [[nodiscard]] std::uint64_t disk_hits() const;
-  [[nodiscard]] std::uint64_t misses() const;
-
   /// True when the store writes/replays on-disk journals.
   [[nodiscard]] bool persistent() const noexcept { return !dir_.empty(); }
   [[nodiscard]] const std::filesystem::path& directory() const noexcept {
     return dir_;
   }
 
-  /// Drops the in-memory cache and counters. Journals are untouched:
+  /// Drops the in-memory cache. Journals are untouched:
   /// subsequent lookups of a persistent store replay them again.
   void clear();
 
@@ -201,9 +186,6 @@ class SampleStore {
   mutable std::mutex aux_mutex_;
   std::shared_ptr<const storage::ContainerReader> container_;
   std::vector<std::string> damage_notes_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> disk_hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
 };
 
 }  // namespace dlap

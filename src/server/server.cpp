@@ -376,7 +376,6 @@ ServerStats Server::stats() const {
   }
   out.trace_cache = engine_.trace_cache_stats();
   out.compiled_traces = engine_.compiled_trace_stats();
-  out.interned_keys = engine_.interned_keys();
   return out;
 }
 
@@ -432,8 +431,6 @@ HttpResponse Server::handle_stats(const HttpRequest&) {
   Json engine = Json::object();
   engine.set("trace_cache", lru(s.trace_cache));
   engine.set("compiled_traces", lru(s.compiled_traces));
-  engine.set("interned_keys",
-             Json::number(static_cast<double>(s.interned_keys)));
 
   Json body = Json::object();
   body.set("server", std::move(server));

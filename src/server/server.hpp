@@ -101,7 +101,6 @@ struct ServerStats {
   std::size_t queue_peak = 0;
   LruStats trace_cache;              ///< engine sweep-point cache
   LruStats compiled_traces;          ///< engine compiled traces (no system)
-  std::size_t interned_keys = 0;     ///< engine resolver keys
 };
 
 class Server {

@@ -4,7 +4,8 @@
 // model repository consulted as a service by many prediction runs).
 //
 // The service owns
-//   - a thread-safe ModelRepository (on-disk text files + in-memory cache),
+//   - a thread-safe ModelRepository (on-disk text files + the in-memory
+//     cache every query resolves through),
 //   - an engine-wide SampleStore, by default *persistent*: an on-disk
 //     sample repository beside the model repository (append-only journal
 //     per engine key), so a second run, a widened-domain regeneration, or
@@ -132,11 +133,12 @@ class ModelService {
   /// Hot-reloads the binary container layer: re-opens the configured
   /// .dlapc path (or the repository's auto-detected repository.dlapc),
   /// attaches it beneath the repository and the sample store, and drops
-  /// the repository's in-memory model cache so subsequent lookups see the
-  /// new file. A missing file detaches the layer. Returns true when a
-  /// container is attached after the call. Throws (container_error) when
-  /// the file exists but is corrupt -- the previously attached container
-  /// stays in place, so a failed reload never degrades serving.
+  /// the repository's in-memory model cache (moving its version) so
+  /// subsequent lookups see the new file. A missing file detaches the
+  /// layer. Returns true when a container is attached after the call.
+  /// Throws (container_error) when the file exists but is corrupt -- the
+  /// previously attached container stays in place, so a failed reload
+  /// never degrades serving.
   bool reload_container();
 
   /// get_or_generate for every job, fanned out across the pool with one

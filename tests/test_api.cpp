@@ -1,5 +1,5 @@
 // Tests for the Engine facade: Result semantics, typed queries, spec ->
-// job planning, the interned resolver fast path (bit-identity with the
+// job planning, the compiled prediction path (bit-identity with the
 // string-keyed path), and the non-throwing error statuses.
 //
 // All model generation uses ServiceConfig::measure_factory with a
@@ -19,7 +19,6 @@
 #include "algorithms/sylv.hpp"
 #include "algorithms/trinv.hpp"
 #include "api/engine.hpp"
-#include "api/intern.hpp"
 #include "api/plan.hpp"
 #include "ops/registry.hpp"
 #include "predict/ranking.hpp"
@@ -350,25 +349,6 @@ TEST(Plan, CompiledPlanMatchesTraceOracle) {
   }
 }
 
-// ---------------------------------------------------------------- intern
-
-TEST(Intern, DenseStableIds) {
-  KeyInterner interner;
-  const ModelKey a{"dtrsm", "blocked", Locality::InCache, "LLNN"};
-  const ModelKey b{"dtrsm", "blocked", Locality::InCache, "RLNN"};
-  const ModelKey c{"dtrsm", "blocked", Locality::OutOfCache, "LLNN"};
-  EXPECT_EQ(interner.find(a), -1);
-  const int ia = interner.intern(a);
-  const int ib = interner.intern(b);
-  const int ic = interner.intern(c);
-  EXPECT_EQ(ia, 0);
-  EXPECT_EQ(ib, 1);
-  EXPECT_EQ(ic, 2);  // locality distinguishes keys
-  EXPECT_EQ(interner.intern(a), ia);
-  EXPECT_EQ(interner.find(b), ib);
-  EXPECT_EQ(interner.size(), 3u);
-}
-
 // ---------------------------------------------------------------- engine
 
 TEST(Engine, PredictsSpecAndGeneratesModelsOnDemand) {
@@ -379,12 +359,11 @@ TEST(Engine, PredictsSpecAndGeneratesModelsOnDemand) {
   EXPECT_GT(result->ticks.median, 0.0);
   EXPECT_GT(result->calls, 0);
   EXPECT_EQ(result->missing, 0);
-  EXPECT_GT(t.engine.interned_keys(), 0u);
   // Models landed in the repository.
   EXPECT_GT(t.engine.service().repository().list().size(), 0u);
 }
 
-TEST(Engine, InternedPathBitIdenticalToStringKeyedPath) {
+TEST(Engine, CompiledPathBitIdenticalToStringKeyedPath) {
   TempEngine t("dlap_test_api_bitident");
   const OperationSpec spec = OperationSpec::trinv(3, 160, 32);
   const auto via_engine = t.engine.predict(PredictQuery::of(spec));

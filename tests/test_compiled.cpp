@@ -3,8 +3,8 @@
 // index vs the reference linear scan, the sharded trace LRU, the
 // engine's two cache layers (system-free compiled traces under per-system
 // sweep points), and its snapshot invalidation-on-regeneration
-// semantics, including the prediction and wire text each snapshot
-// stores.
+// semantics against the repository's version, including the prediction
+// and wire text each snapshot stores.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include "algorithms/chol.hpp"
 #include "algorithms/trinv.hpp"
 #include "api/engine.hpp"
-#include "api/intern.hpp"
 #include "api/trace_cache.hpp"
 #include "common/lru.hpp"
 #include "ops/registry.hpp"
@@ -465,22 +464,6 @@ TEST(ShardedLru, ReinsertReplacesAndPromotes) {
   cache.insert(3, std::make_shared<int>(30));  // evicts 2
   EXPECT_EQ(*cache.find(1), 11);
   EXPECT_EQ(cache.find(2), nullptr);
-}
-
-// ----------------------------------------- heterogeneous hot-path lookups
-
-TEST(Intern, HeterogeneousRefLookupMatchesKeyLookup) {
-  KeyInterner interner;
-  const ModelKey key{"dtrsm", "blocked", Locality::OutOfCache, "LLNN"};
-  const int id = interner.intern(key);
-  const std::string routine = "dtrsm", backend = "blocked", flags = "LLNN";
-  const ModelKeyRef ref{routine, backend, Locality::OutOfCache, flags};
-  EXPECT_EQ(interner.find(ref), id);
-  EXPECT_EQ(interner.intern(ref), id);
-  EXPECT_EQ(interner.size(), 1u);
-  const ModelKeyRef other{routine, backend, Locality::InCache, flags};
-  EXPECT_EQ(interner.find(other), -1);
-  EXPECT_NE(interner.intern(other), id);
 }
 
 // ------------------------------------------------------------ TraceContext
@@ -1010,6 +993,68 @@ TEST(EngineCompiled, ReloadReleasesTheSnapshotsOfCachedPoints) {
   // Neither reload made a later rank recompile or rebuild a point.
   EXPECT_EQ(t.engine.trace_cache_stats().misses, 4u);
   EXPECT_EQ(t.engine.compiled_trace_stats().misses, 4u);
+}
+
+TEST(EngineCompiled, RepositoryModelsKeepSnapshotsCurrentUntilAStore) {
+  // Stored models for two families, and an engine that only reads them.
+  const RankQuery trinv = RankQuery::trinv_variants(160, 32);
+  const RankQuery chol = RankQuery::chol_variants(160, 32);
+  std::vector<OperationSpec> specs = trinv.candidates;
+  specs.insert(specs.end(), chol.candidates.begin(), chol.candidates.end());
+  TempEngine gen("dlap_test_compiled_stable");
+  ASSERT_TRUE(gen.engine.prepare(specs).ok());
+  EngineConfig cfg = test_config("dlap_test_compiled_stable");
+  cfg.generate_missing = false;
+  Engine engine(cfg);
+
+  // Loading other keys into the repository's cache stores nothing, so
+  // the trinv snapshots stay current: the repeat hands out their stored
+  // texts.
+  const auto first = engine.rank(trinv);
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  const auto other = engine.rank(chol);
+  ASSERT_TRUE(other.ok()) << other.status().to_string();
+  const auto again = engine.rank(trinv);
+  ASSERT_TRUE(again.ok()) << again.status().to_string();
+  expect_identical(*again, *first);
+  for (std::size_t i = 0; i < first->prediction_json.size(); ++i) {
+    EXPECT_EQ(again->prediction_json[i].get(),
+              first->prediction_json[i].get());
+  }
+
+  // A store moves the repository's version: the next rank resolves
+  // again and builds new snapshots, here over the same model bytes.
+  const ModelKey key{"trinv1_unb", cfg.system.backend, cfg.system.locality,
+                     ""};
+  const std::shared_ptr<const RoutineModel> model = engine.service().find(key);
+  ASSERT_NE(model, nullptr);
+  engine.service().repository().store(*model);
+  const auto stored = engine.rank(trinv);
+  ASSERT_TRUE(stored.ok()) << stored.status().to_string();
+  expect_identical(*stored, *first);
+  for (std::size_t i = 0; i < first->prediction_json.size(); ++i) {
+    EXPECT_NE(stored->prediction_json[i].get(),
+              first->prediction_json[i].get());
+  }
+}
+
+TEST(EngineCompiled, OneRankNeverMixesModelsOfAKey) {
+  TempEngine t("dlap_test_compiled_one_model");
+  const OperationSpec small = OperationSpec::trinv(1, 96, 16);
+  const RankQuery alone{{small}, std::nullopt};
+  ASSERT_TRUE(t.engine.rank(alone).ok());
+  const auto current = t.engine.rank(alone);  // its snapshot is current
+  ASSERT_TRUE(current.ok()) << current.status().to_string();
+
+  // The new candidate widens the keys both share, so the rank
+  // regenerates them: the small point, current until now, must move to
+  // the new models too, or the two candidates would be compared on
+  // different models of one key.
+  const OperationSpec large = OperationSpec::trinv(1, 256, 100);
+  const auto both = t.engine.rank(RankQuery{{small, large}, std::nullopt});
+  ASSERT_TRUE(both.ok()) << both.status().to_string();
+  expect_identical(both->predictions[0], repository_reference(t.engine, small));
+  expect_identical(both->predictions[1], repository_reference(t.engine, large));
 }
 
 TEST(EngineCompiled, OneAxisSpecsShareOnePointAcrossM) {

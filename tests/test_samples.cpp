@@ -47,7 +47,7 @@ SampleStats stats_for(const std::vector<index_t>& point) {
   return s;
 }
 
-SampleStore::Measure counting_measure(std::atomic<int>* calls) {
+MeasureFn counting_measure(std::atomic<int>* calls) {
   return [calls](const std::vector<index_t>& point) {
     ++*calls;
     return stats_for(point);
@@ -102,16 +102,22 @@ void expect_same_bits(const SampleStats& a, const SampleStats& b) {
 
 // ---------------------------------------------------------- sample store
 
+// One batch of the point {8, 8}.
+const std::vector<std::vector<index_t>> kOnePoint = {{8, 8}};
+
 TEST(SampleStore, MemoryOnlyStoreHasNoJournal) {
   SampleStore store;
   std::atomic<int> calls{0};
   EXPECT_FALSE(store.persistent());
-  (void)store.get_or_measure("key", {8, 8}, counting_measure(&calls));
-  (void)store.get_or_measure("key", {8, 8}, counting_measure(&calls));
+  FulfillStats counts;
+  for (int round = 0; round < 2; ++round) {
+    (void)fulfill_batch(store, "key", kOnePoint, counting_measure(&calls),
+                        nullptr, &counts);
+  }
   EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(store.hits(), 1u);
-  EXPECT_EQ(store.misses(), 1u);
-  EXPECT_EQ(store.disk_hits(), 0u);
+  EXPECT_EQ(counts.from_memory, 1);
+  EXPECT_EQ(counts.measured, 1);
+  EXPECT_EQ(counts.from_disk, 0);
 }
 
 TEST(SampleStore, JournalRoundTripIsBitExact) {
@@ -121,23 +127,22 @@ TEST(SampleStore, JournalRoundTripIsBitExact) {
   {
     SampleStore store(dir);
     EXPECT_TRUE(store.persistent());
-    for (const auto& p : points) {
-      (void)store.get_or_measure("a/blocked/in_cache/LLNN", p,
-                                 counting_measure(&calls));
-    }
+    (void)fulfill_batch(store, "a/blocked/in_cache/LLNN", points,
+                        counting_measure(&calls), nullptr);
     EXPECT_EQ(calls.load(), static_cast<int>(points.size()));
   }
   // A fresh store over the same directory replays the journal: zero new
   // measurements, identical statistics bit for bit.
   SampleStore reopened(dir);
-  for (const auto& p : points) {
-    const SampleStats got = reopened.get_or_measure(
-        "a/blocked/in_cache/LLNN", p, counting_measure(&calls));
-    expect_stats_eq(got, stats_for(p));
+  FulfillStats counts;
+  const auto got = fulfill_batch(reopened, "a/blocked/in_cache/LLNN", points,
+                                 counting_measure(&calls), nullptr, &counts);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    expect_stats_eq(got[i], stats_for(points[i]));
   }
   EXPECT_EQ(calls.load(), static_cast<int>(points.size()));
-  EXPECT_EQ(reopened.disk_hits(), points.size());
-  EXPECT_EQ(reopened.misses(), 0u);
+  EXPECT_EQ(counts.from_disk, static_cast<index_t>(points.size()));
+  EXPECT_EQ(counts.measured, 0);
   fs::remove_all(dir);
 }
 
@@ -145,10 +150,10 @@ TEST(SampleStore, KeysAreIsolatedAndFilenamesInjective) {
   const fs::path dir = fresh_dir("dlap_samples_keys");
   SampleStore store(dir);
   std::atomic<int> calls{0};
-  (void)store.get_or_measure("dtrsm/blocked/in_cache/LLNN", {8, 8},
-                             counting_measure(&calls));
-  (void)store.get_or_measure("dtrsm/blocked/in_cache/RLNN", {8, 8},
-                             counting_measure(&calls));
+  (void)fulfill_batch(store, "dtrsm/blocked/in_cache/LLNN", kOnePoint,
+                      counting_measure(&calls), nullptr);
+  (void)fulfill_batch(store, "dtrsm/blocked/in_cache/RLNN", kOnePoint,
+                      counting_measure(&calls), nullptr);
   EXPECT_EQ(calls.load(), 2);  // same point, different keys: both measured
   EXPECT_NE(SampleStore::journal_filename("dtrsm/blocked/in_cache/LLNN"),
             SampleStore::journal_filename("dtrsm/blocked/in_cache/RLNN"));
@@ -165,9 +170,8 @@ TEST(SampleStore, TruncatedTailIsDiscardedAndRecovered) {
   {
     SampleStore store(dir);
     std::atomic<int> calls{0};
-    for (const auto& p : points) {
-      (void)store.get_or_measure(key, p, counting_measure(&calls));
-    }
+    (void)fulfill_batch(store, key, points, counting_measure(&calls),
+                        nullptr);
   }
   // Simulate a crash mid-append: chop bytes off the end of the journal,
   // leaving a partial final line.
@@ -179,22 +183,22 @@ TEST(SampleStore, TruncatedTailIsDiscardedAndRecovered) {
 
   SampleStore recovered(dir);
   std::atomic<int> calls{0};
-  for (const auto& p : points) {
-    const SampleStats got =
-        recovered.get_or_measure(key, p, counting_measure(&calls));
-    expect_stats_eq(got, stats_for(p));  // re-measured or replayed: equal
+  FulfillStats counts;
+  const auto got = fulfill_batch(recovered, key, points,
+                                 counting_measure(&calls), nullptr, &counts);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    // Re-measured or replayed: equal.
+    expect_stats_eq(got[i], stats_for(points[i]));
   }
   // Everything before the torn line was recovered; only the torn point
   // (and nothing else) was re-measured.
   EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(recovered.disk_hits(), points.size() - 1);
+  EXPECT_EQ(counts.from_disk, static_cast<index_t>(points.size() - 1));
 
   // The re-measurement was re-journaled: a third store sees every point.
   SampleStore again(dir);
   std::atomic<int> calls2{0};
-  for (const auto& p : points) {
-    (void)again.get_or_measure(key, p, counting_measure(&calls2));
-  }
+  (void)fulfill_batch(again, key, points, counting_measure(&calls2), nullptr);
   EXPECT_EQ(calls2.load(), 0);
   fs::remove_all(dir);
 }
@@ -217,12 +221,11 @@ TEST(SampleStore, NonFiniteStatsStayMemoryOnlyAndNeverPoisonTheJournal) {
   // AFTER the non-finite insert); the poisoned point is re-measured.
   SampleStore reopened(dir);
   std::atomic<int> calls{0};
-  for (const auto& p :
-       std::vector<std::vector<index_t>>{{8, 8}, {16, 16}, {24, 24}}) {
-    (void)reopened.get_or_measure(key, p, counting_measure(&calls));
-  }
+  FulfillStats counts;
+  (void)fulfill_batch(reopened, key, {{8, 8}, {16, 16}, {24, 24}},
+                      counting_measure(&calls), nullptr, &counts);
   EXPECT_EQ(calls.load(), 1);
-  EXPECT_EQ(reopened.disk_hits(), 2u);
+  EXPECT_EQ(counts.from_disk, 2);
   fs::remove_all(dir);
 }
 
@@ -233,7 +236,8 @@ TEST(SampleStore, GarbageJournalIsTreatedAsEmpty) {
       << "not a journal\nat all\n";
   SampleStore store(dir);
   std::atomic<int> calls{0};
-  (void)store.get_or_measure("k", {8, 8}, counting_measure(&calls));
+  (void)fulfill_batch(store, "k", kOnePoint, counting_measure(&calls),
+                      nullptr);
   EXPECT_EQ(calls.load(), 1);
   fs::remove_all(dir);
 }
@@ -243,7 +247,8 @@ TEST(SampleStore, HeterogeneousKeyLookupNeedsNoTemporaryString) {
   SampleStore store(dir);
   std::atomic<int> calls{0};
   const std::string composed = std::string("dtrsm/blocked/in_cache/") + "LLNN";
-  (void)store.get_or_measure(composed, {8, 8}, counting_measure(&calls));
+  (void)fulfill_batch(store, composed, kOnePoint, counting_measure(&calls),
+                      nullptr);
   // Probe with a string_view assembled from a different buffer.
   const char buffer[] = "dtrsm/blocked/in_cache/LLNN-extra";
   const std::string_view view(buffer, sizeof(buffer) - 7);
@@ -253,21 +258,22 @@ TEST(SampleStore, HeterogeneousKeyLookupNeedsNoTemporaryString) {
   fs::remove_all(dir);
 }
 
-TEST(SampleStore, ConcurrentGetOrMeasureIsCoherent) {
+TEST(SampleStore, ConcurrentFulfillmentIsCoherent) {
   const fs::path dir = fresh_dir("dlap_samples_concurrent");
   SampleStore store(dir);
   std::atomic<int> calls{0};
   const auto points = grid_points(16);
   ThreadPool pool(8);
-  // Every thread asks for every point of two keys; each (key, point) is
-  // measured at most a handful of times (first-insert-wins races) and
-  // all callers see coherent statistics.
+  // Every thread asks for every point of two keys, one point per batch;
+  // each (key, point) is measured at most a handful of times
+  // (first-insert-wins races) and all callers see coherent statistics.
   pool.parallel_for_each(8, [&](index_t) {
     for (const auto& p : points) {
-      expect_stats_eq(store.get_or_measure("a", p, counting_measure(&calls)),
-                      stats_for(p));
-      expect_stats_eq(store.get_or_measure("b", p, counting_measure(&calls)),
-                      stats_for(p));
+      for (const char* key : {"a", "b"}) {
+        const auto got =
+            fulfill_batch(store, key, {p}, counting_measure(&calls), nullptr);
+        expect_stats_eq(got[0], stats_for(p));
+      }
     }
   });
   EXPECT_GE(calls.load(), static_cast<int>(2 * points.size()));
@@ -275,9 +281,9 @@ TEST(SampleStore, ConcurrentGetOrMeasureIsCoherent) {
   // The journals stay replayable after racing appends.
   SampleStore reopened(dir);
   std::atomic<int> calls2{0};
-  for (const auto& p : points) {
-    (void)reopened.get_or_measure("a", p, counting_measure(&calls2));
-    (void)reopened.get_or_measure("b", p, counting_measure(&calls2));
+  for (const char* key : {"a", "b"}) {
+    (void)fulfill_batch(reopened, key, points, counting_measure(&calls2),
+                        nullptr);
   }
   EXPECT_EQ(calls2.load(), 0);
   fs::remove_all(dir);
@@ -442,8 +448,6 @@ TEST(MeasurementScheduler, FulfillsFromStoreThenMeasuresTheRest) {
   }
   EXPECT_EQ(first.measured, static_cast<index_t>(points.size()));
   EXPECT_EQ(first.from_memory, 0);
-  // Each point's miss is counted once.
-  EXPECT_EQ(store.misses(), points.size());
 
   // Second fulfillment: everything from memory, nothing measured.
   FulfillStats second;
@@ -620,9 +624,8 @@ TEST(MeasurementScheduler, TornBatchKeepsCompleteLinesAndRemeasuresTheRest) {
     }
     SampleStore again(dir);
     std::atomic<int> calls{0};
-    for (const auto& point : points) {
-      (void)again.get_or_measure(key, point, counting_measure(&calls));
-    }
+    (void)fulfill_batch(again, key, points, counting_measure(&calls),
+                        nullptr);
     EXPECT_EQ(calls.load(), 0);
   }
   fs::remove_all(dir);

@@ -1,6 +1,6 @@
 // Tests for the ModelService pipeline: concurrent batch generation
 // (deterministic and bit-identical to the sequential path) and the
-// thread-safe repository under concurrent writers.
+// thread-safe repository under concurrent writers and reloads.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "ops/registry.hpp"
 #include "predict/trace.hpp"
 #include "service/model_service.hpp"
+#include "storage/container.hpp"
 
 namespace dlap {
 namespace {
@@ -251,13 +252,17 @@ TEST(ModelService, SampleStoreReusesMeasurementsAcrossGenerations)
 {
   const fs::path dir = fresh_dir("dlap_svc_samples");
   ModelService service(synthetic_config(dir, 2));
+  const ModelKey key = ModelService::key_for(four_jobs().front());
   (void)service.generate_all({four_jobs(96).front()});
-  const std::uint64_t misses_first = service.samples().misses();
-  EXPECT_GT(misses_first, 0u);
-  EXPECT_EQ(service.samples().hits(), 0u);
+  const auto first = service.generation_stats(key);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_GT(first->points_measured, 0);
+  EXPECT_EQ(first->points_from_memory, 0);
 
   (void)service.generate_all({four_jobs(192).front()});
-  EXPECT_GT(service.samples().hits(), 0u);  // shared boundary points
+  const auto second = service.generation_stats(key);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_GT(second->points_from_memory, 0);  // shared boundary points
   fs::remove_all(dir);
 }
 
@@ -491,6 +496,74 @@ TEST(ModelRepository, StoreLoadRoundTripUnderConcurrentWriters) {
               ModelRepository::serialize(m));
   }
   EXPECT_EQ(reopened.cache_size(), models.size());
+  fs::remove_all(dir);
+}
+
+// A model of `key` with many pieces, so that loading it from a container
+// takes long enough to overlap a reload; `unique_samples` tells models
+// apart.
+RoutineModel many_piece_model(const ModelKey& key, index_t unique_samples) {
+  constexpr index_t kPieces = 400;
+  Normalization norm;
+  norm.shift = {0.0, 0.0};
+  norm.scale = {1.0, 1.0};
+  const std::vector<std::vector<double>> coeffs(
+      kStatCount,
+      std::vector<double>(static_cast<std::size_t>(monomial_count(2, 2)),
+                          1.0));
+  std::vector<RegionModel> pieces;
+  for (index_t p = 0; p < kPieces; ++p) {
+    RegionModel piece;
+    piece.region = Region({8 * p + 1, 1}, {8 * p + 8, 64});
+    piece.poly = VecPolynomial(2, 2, norm, coeffs);
+    pieces.push_back(std::move(piece));
+  }
+  RoutineModel model;
+  model.key = key;
+  model.model = PiecewiseModel(Region({1, 1}, {8 * kPieces, 64}),
+                               std::move(pieces));
+  model.unique_samples = unique_samples;
+  return model;
+}
+
+// A find that loads from the container a reload replaces must not put
+// the replaced container's model back into the cache after the reload
+// dropped it: from then on every lookup would serve the replaced model.
+TEST(ModelRepository, FindNeverCachesAModelOfAReplacedContainer) {
+  const fs::path dir = fresh_dir("dlap_repo_reload_race");
+  const ModelKey key{"dtrsm", "blocked", Locality::InCache, "LLNN"};
+  std::vector<std::shared_ptr<const storage::ContainerReader>> containers;
+  for (index_t samples : {1, 2}) {
+    storage::ContainerWriter writer;
+    writer.add_model(many_piece_model(key, samples));
+    const fs::path path = dir / ("c" + std::to_string(samples) + ".dlapc");
+    fs::create_directories(dir);
+    writer.write(path);
+    containers.push_back(storage::ContainerReader::open(path));
+  }
+
+  ModelRepository repo(dir);
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load()) (void)repo.find(key);
+  });
+  // Swap the containers the way ModelService::reload_container does,
+  // and look the key up after each swap.
+  constexpr int kRounds = 2000;
+  int replaced = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const std::size_t next = static_cast<std::size_t>(round % 2);
+    repo.attach_container(containers[next]);
+    repo.invalidate_cache();
+    const std::shared_ptr<const RoutineModel> model = repo.find(key);
+    if (model == nullptr ||
+        model->unique_samples != static_cast<index_t>(next + 1)) {
+      ++replaced;
+    }
+  }
+  stop.store(true);
+  reader.join();
+  EXPECT_EQ(replaced, 0) << "of " << kRounds << " swaps";
   fs::remove_all(dir);
 }
 

@@ -2,8 +2,9 @@
 # Checks that every relative markdown link in README.md and docs/*.md
 # points at an existing file or directory (anchors and absolute URLs are
 # ignored), that every backticked source file or bench/example/tool
-# program the docs name still exists, and prints the example targets the
-# docs mention so CI can build exactly what the documentation promises.
+# program the docs name still exists, that every source file a code
+# comment names still exists, and prints the example targets the docs
+# mention so CI can build exactly what the documentation promises.
 #
 # Usage: tools/check_doc_links.sh [--list-doc-examples]
 #   (exit 1 on the first broken link; with --list-doc-examples, also
@@ -57,6 +58,24 @@ while IFS= read -r ref; do
   fi
 done < <(grep -ohE '`(bench|examples|tools)/[A-Za-z0-9_]+`' "${docs[@]}" \
            | tr -d '`' | sort -u)
+
+# Code comments point at sources too: every path to a .hpp or .cpp file
+# that a comment under src/, bench/, tests/, examples/ or tools/ names
+# must exist, repo-relative or under src/, tests/ or bench/ (the include
+# roots, e.g. `api/engine.hpp`).
+code_dirs=(src bench tests examples tools)
+while IFS= read -r ref; do
+  if [[ ! -e "$ref" && ! -e "src/$ref" && ! -e "tests/$ref" &&
+        ! -e "bench/$ref" ]]; then
+    echo "STALE CODE POINTER: $ref (named in a comment under" \
+         "${code_dirs[*]})" >&2
+    fail=1
+  fi
+done < <({ grep -rhoE '//.*' --include='*.cpp' --include='*.hpp' \
+             "${code_dirs[@]}"
+           grep -rhoE '#.*' --include='*.sh' "${code_dirs[@]}"; } \
+           | grep -oE '[A-Za-z0-9_.-]+(/[A-Za-z0-9_.-]+)+\.(hpp|cpp)' \
+           | sort -u)
 
 if [[ "${1:-}" == "--list-doc-examples" ]]; then
   grep -ohE 'examples/[A-Za-z0-9_]+\.cpp' "${docs[@]}" \
